@@ -123,17 +123,16 @@ def predicted_coefficients(kind: str, params: BellDiagonalParams, p: float) -> B
     Valid for BF/PF/BPF at any p; for GAD, p here is the damping strength
     of the reduced one-parameter form.
     """
+    return BellDiagonalParams(*(float(c) for c in predicted_coefficient_grid(kind, *params.triple, p)))
+
+
+def predicted_coefficient_grid(kind: str, c1, c2, c3, p: float):
+    """The coefficient map elementwise over coefficient arrays;
+    :func:`predicted_coefficients` is its 0-d case."""
     if kind not in COEFFICIENT_POWERS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    powers = COEFFICIENT_POWERS[kind]
-    c = [ci * (1.0 - p) ** k for ci, k in zip(params.triple, powers)]
-    return BellDiagonalParams(*c)
-
-
-def predicted_coefficient_grid(kind: str, c1, c2, c3, p: float):
-    """Elementwise version of :func:`predicted_coefficients` for field sampling."""
     powers = COEFFICIENT_POWERS[kind]
     return tuple(np.asarray(ci) * (1.0 - p) ** k for ci, k in zip((c1, c2, c3), powers))
 
@@ -157,8 +156,6 @@ def dynamics_curve(
     """
     out = []
     for p in np.asarray(p_grid, dtype=float):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"grid point p={p} outside [0, 1]")
         moved = bell_diagonal(predicted_coefficients(kind, params, float(p)))
         out.append((float(p), coherence(moved, basis)))
     return out

@@ -259,19 +259,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Replace ``--config FILE`` with the flags the file supplies.
+    """Replace ``--config FILE`` (or ``--config=FILE``) with the flags the
+    file supplies.
 
     The file holds one ``key=value`` pair per line (# comments allowed);
     pairs are inserted right after the subcommand, so explicit flags given
     on the command line override them.
     """
-    if "--config" not in argv:
+    i = next((j for j, token in enumerate(argv) if token == "--config" or token.startswith("--config=")), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ValueError("--config requires a file path")
+    if argv[i] == "--config":
+        if i + 1 >= len(argv):
+            raise ValueError("--config requires a file path")
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
+    else:
+        path, rest = argv[i].removeprefix("--config="), argv[:i] + argv[i + 1 :]
     pairs: list[str] = []
-    for line in Path(argv[i + 1]).read_text(encoding="ascii").splitlines():
+    for line in Path(path).read_text(encoding="ascii").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -279,7 +284,6 @@ def _expand_config(argv: list[str]) -> list[str]:
             raise ValueError(f"config line {line!r} is not key=value")
         key, value = line.split("=", 1)
         pairs += [f"--{key.strip()}", value.strip()]
-    rest = argv[:i] + argv[i + 2 :]
     for j, token in enumerate(rest):
         if not token.startswith("-"):
             return rest[: j + 1] + pairs + rest[j + 1 :]

@@ -12,33 +12,32 @@ cross-check.
 
 Closed forms are provided for the Bell-diagonal family (in each of the
 three tensor-squared reference bases and their sum), its Werner and
-isotropic slices, and the z-polarized X states.  The closed forms are
-validated against the numeric definition by the test-suite rather than
-trusted: the numeric route is normative.
+isotropic slices, and the z-polarized X states.  Each closed form has one
+array kernel (``_bd_values``, ``_xz_values``) that marks points outside
+the physical region as NaN; the grid entry points call it on arrays, and
+the scalar entry points make a 0-d call of it on validated parameters.
+The closed forms are validated against the numeric definition by the
+test-suite rather than trusted: the numeric route is normative.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bases import OrthonormalBasis, amub_basis, qubit_amubs
-from .linalg import require_hermitian, sqrt_psd
+from .bases import OrthonormalBasis
+from .linalg import require_hermitian
 from .states import (
     TETRA_TOL,
     BellDiagonalParams,
     DensityMatrix,
     XStateZParams,
+    _xz_margins,
     tetrahedron_margins,
-    x_state_z,
 )
 
 # Skew informations and coherences are nonnegative; results above this
 # floor are rounding noise and clamp to zero.
 NEGATIVE_CLAMP = -1e-12
-
-# Below this, a closed-form split denominator counts as vanishing and the
-# evaluation delegates to the numeric route (removable singularity).
-_DENOM_EPS = 1e-12
 
 
 def _clamp(x: float) -> float:
@@ -58,7 +57,7 @@ def skew_information(rho: DensityMatrix, observable: np.ndarray) -> float:
     k = require_hermitian(observable)
     if k.shape[0] != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, observable {k.shape[0]}")
-    root = sqrt_psd(rho.matrix)
+    root = rho._root
     comm = root @ k - k @ root
     return _clamp(float((-0.5 * np.trace(comm @ comm)).real))
 
@@ -78,8 +77,7 @@ def coherence(rho: DensityMatrix, basis: OrthonormalBasis | None = None) -> floa
     route every closed form is checked against.
     """
     vecs = _basis_or_computational(rho, basis)
-    root = sqrt_psd(rho.matrix)
-    diag = np.einsum("ki,ij,kj->k", vecs.conj(), root, vecs).real
+    diag = np.einsum("ki,ij,kj->k", vecs.conj(), rho._root, vecs).real
     return _clamp(float(1.0 - np.sum(diag**2)))
 
 
@@ -110,6 +108,23 @@ def coherence_bound(dim: int) -> float:
 _BD_PAIRS = {"a1": ((0, 1), (2, 3)), "a2": ((1, 2), (0, 3)), "a3": ((0, 2), (1, 3))}
 
 
+def _physical(m):
+    """Elementwise: all four margins are >= -TETRA_TOL."""
+    return (m[0] >= -TETRA_TOL) & (m[1] >= -TETRA_TOL) & (m[2] >= -TETRA_TOL) & (m[3] >= -TETRA_TOL)
+
+
+def _bd_values(c1, c2, c3, label: str):
+    """The Bell-diagonal kernel: coherence in basis ``label``, elementwise;
+    NaN where a margin is below -TETRA_TOL."""
+    m = tetrahedron_margins(c1, c2, c3)
+    physical = _physical(m)
+    roots = [np.sqrt(np.maximum(x, 0.0)) for x in m]
+    del m  # 33 MB on a 101^3 grid: free it before the products are formed
+    (i, j), (k, l) = _BD_PAIRS[label]
+    values = np.maximum(0.25 * (2.0 - roots[i] * roots[j] - roots[k] * roots[l]), 0.0)
+    return np.where(physical, values, np.nan)
+
+
 def bd_coherence_values(c1, c2, c3, label: str):
     """Closed-form Bell-diagonal coherence, elementwise over ndarray inputs.
 
@@ -117,129 +132,60 @@ def bd_coherence_values(c1, c2, c3, label: str):
     evaluate to NaN; scalar users should prefer :func:`bd_coherence`,
     which validates its parameters instead.
     """
-    pairs = _BD_PAIRS[label]
-    margins = tetrahedron_margins(
-        np.asarray(c1, dtype=float), np.asarray(c2, dtype=float), np.asarray(c3, dtype=float)
-    )
-    physical = np.ones(np.broadcast(*margins).shape, dtype=bool)
-    for m in margins:
-        physical &= m >= -TETRA_TOL
-    roots = [np.sqrt(np.clip(m, 0.0, None)) for m in margins]
-    (i, j), (k, l) = pairs
-    values = np.clip(0.25 * (2.0 - roots[i] * roots[j] - roots[k] * roots[l]), 0.0, None)
-    return np.where(physical, values, np.nan)
+    return _bd_values(np.asarray(c1, dtype=float), np.asarray(c2, dtype=float), np.asarray(c3, dtype=float), label)
 
 
 def bd_coherence(params: BellDiagonalParams, label: str) -> float:
     """Closed-form coherence of a Bell-diagonal state in basis a1, a2 or a3."""
     if label not in _BD_PAIRS:
         raise ValueError(f"unknown basis label {label!r}; expected one of {tuple(_BD_PAIRS)}")
-    margins = np.clip(tetrahedron_margins(*params.triple), 0.0, None)
-    r = np.sqrt(margins)
-    (i, j), (k, l) = _BD_PAIRS[label]
-    return _clamp(0.25 * (2.0 - r[i] * r[j] - r[k] * r[l]))
+    return float(_bd_values(*params.triple, label))
 
 
 def bd_coherence_sum(params: BellDiagonalParams) -> float:
     """Coherence summed over the three reference bases."""
-    return _clamp(sum(bd_coherence(params, lab) for lab in _BD_PAIRS))
+    return float(sum(_bd_values(*params.triple, lab) for lab in _BD_PAIRS))
 
 
-def werner_coherence(p: float) -> float:
+def _unit_interval(name: str, x) -> np.ndarray:
+    """``x`` as a float array, rejected unless every element is in [0, 1]."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError(f"{name}={x} outside [0, 1]")
+    return x
+
+
+def werner_coherence(p):
     """Closed form for the Werner slice: (8 - sqrt(p(48 - 27p)) - 3p)/16,
-    the same in all three reference bases."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    return _clamp((8.0 - np.sqrt(p * (48.0 - 27.0 * p)) - 3.0 * p) / 16.0)
+    the same in all three reference bases.  Elementwise over arrays."""
+    p = _unit_interval("p", p)
+    return np.maximum((8.0 - np.sqrt(p * (48.0 - 27.0 * p)) - 3.0 * p) / 16.0, 0.0)
 
 
-def isotropic_coherence(fidelity: float) -> float:
+def isotropic_coherence(fidelity):
     """Closed form for the isotropic slice: (1 + 2F - 2 sqrt(3F(1-F)))/6,
-    the same in all three reference bases."""
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"F={fidelity} outside [0, 1]")
-    f = fidelity
-    return _clamp((1.0 + 2.0 * f - 2.0 * np.sqrt(3.0 * f * (1.0 - f))) / 6.0)
+    the same in all three reference bases.  Elementwise over arrays."""
+    f = _unit_interval("F", fidelity)
+    return np.maximum((1.0 + 2.0 * f - 2.0 * np.sqrt(3.0 * f * (1.0 - f))) / 6.0, 0.0)
 
 
 # -- z-polarized X states ------------------------------------------------------
 #
 # In the computational product basis the state splits into two 2x2 blocks,
-# {|00>, |11>} and {|01>, |10>}.  Writing g = sqrt((c1 - c2)^2 + (r + s)^2)
-# and h = sqrt((c1 + c2)^2 + (r - s)^2) for the block eigenvalue gaps, the
-# block square roots give the diagonal of sqrt(rho) in closed form, and the
-# coherence follows from the numeric definition's formula.
+# {|00>, |11>} and {|01>, |10>}, whose eigenvalues are the block margins
+# over 4.  The block square roots give the diagonal of sqrt(rho) in closed
+# form, and the coherence follows from the numeric definition's formula.
+# Summed over the three reference bases only tr(sqrt(rho)) survives:
+# C_sum = 2 - tr(sqrt(rho))^2 / 2.
 
 
-def xz_block_gaps(params: XStateZParams) -> tuple[float, float]:
-    """Eigenvalue gap radicals (outer block, inner block)."""
-    outer = float(np.hypot(params.c1 - params.c2, params.r + params.s))
-    inner = float(np.hypot(params.c1 + params.c2, params.r - params.s))
-    return outer, inner
-
-
-def xz_coherence_a1(params: XStateZParams) -> float:
-    """Closed-form coherence of a z-polarized X state in the computational
-    product basis a1.
-
-    Derived by diagonalizing the two 2x2 blocks of the state; the
-    expression divides by the block gaps, so when either gap vanishes
-    (a removable singularity) the evaluation delegates to the numeric
-    route on the assembled matrix.
-    """
-    outer, inner = xz_block_gaps(params)
-    if outer < _DENOM_EPS or inner < _DENOM_EPS:
-        return coherence(x_state_z(params), amub_basis("a1"))
-    r, s, c3 = params.r, params.s, params.c3
-    q = np.sqrt
-    up, um = max(1.0 - c3 + inner, 0.0), max(1.0 - c3 - inner, 0.0)
-    vp, vm = max(1.0 + c3 + outer, 0.0), max(1.0 + c3 - outer, 0.0)
-    d, e = r - s, r + s
-    d22 = (q(up) * (inner + d) + q(um) * (inner - d)) / (4.0 * inner)
-    d33 = (q(up) * (inner - d) + q(um) * (inner + d)) / (4.0 * inner)
-    d11 = (q(vp) * (outer + e) + q(vm) * (outer - e)) / (4.0 * outer)
-    d44 = (q(vp) * (outer - e) + q(vm) * (outer + e)) / (4.0 * outer)
-    return _clamp(1.0 - (d11**2 + d22**2 + d33**2 + d44**2))
-
-
-def xz_coherence_sum(params: XStateZParams) -> float:
-    """Coherence of a z-polarized X state summed over the three reference
-    bases: 2 - tr(sqrt(rho))^2 / 2.
-
-    The three basis sums combine so that only tr(sqrt(rho)) survives, and
-    the block structure gives the eigenvalues in closed form:
-    (1 - c3 +- h)/4 and (1 + c3 +- g)/4 with g, h the block gaps.
-    """
-    outer, inner = xz_block_gaps(params)
-    c3 = params.c3
-    lam = np.clip([1.0 - c3 + inner, 1.0 - c3 - inner, 1.0 + c3 + outer, 1.0 + c3 - outer], 0.0, None)
-    trace_root = np.sqrt(lam).sum() / 2.0
-    return _clamp(2.0 - trace_root**2 / 2.0)
-
-
-def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
-    """Vectorized coherence of z-polarized X states over coefficient grids.
-
-    ``measure`` is 'a1' or 'sum'.  r and s are fixed scalars; c1, c2, c3
-    broadcast.  Unphysical points (negative block eigenvalues) evaluate to
-    NaN.  Uses the gap-stable arrangement of the block square roots, so
-    vanishing gaps need no special casing.
-    """
-    if measure not in ("a1", "sum"):
-        raise ValueError(f"unknown measure {measure!r}; expected 'a1' or 'sum'")
-    c1, c2, c3 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float), np.asarray(c3, dtype=float)
-    inner = np.hypot(c1 + c2, r - s)
-    outer = np.hypot(c1 - c2, r + s)
-    # margins = 4x block eigenvalues; at r = s = 0 these reduce bit for bit
-    # to the tetrahedron margins, so the field matches the Bell-diagonal
-    # sampler exactly even on the boundary (where sqrt amplifies noise)
-    low = 1.0 - c3
-    high = 1.0 + c3
-    margins = (low - inner, low + inner, high + outer, high - outer)
-    physical = np.ones(margins[0].shape, dtype=bool)
-    for m in margins:
-        physical &= m >= -TETRA_TOL
-    ri_m, ri_p, ro_p, ro_m = (np.sqrt(np.clip(m, 0.0, None)) / 2.0 for m in margins)
+def _xz_values(r, s, c1, c2, c3, measure: str):
+    """The X-state kernel: coherence in a1 or summed ('sum'), elementwise;
+    NaN where a block margin is below -TETRA_TOL."""
+    m = _xz_margins(r, s, c1, c2, c3)
+    physical = _physical(m)
+    ri_m, ri_p, ro_p, ro_m = (np.sqrt(np.maximum(x, 0.0)) / 2.0 for x in m)
+    del m  # 33 MB on a 101^3 grid: free it before the products are formed
     if measure == "sum":
         trace_root = ri_p + ri_m + ro_p + ro_m
         values = 2.0 - trace_root**2 / 2.0
@@ -247,14 +193,38 @@ def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
         # sqrt of a 2x2 block [[alpha, beta], [beta, delta]] has diagonal
         # (u + w, u - w) with u the half trace of the root and
         # w = (alpha - delta) / (2 (sqrt(lam+) + sqrt(lam-))),
-        # which stays finite whenever the block is nonzero.
+        # which stays finite whenever the block is nonzero, so vanishing
+        # gaps need no special casing.
         si = ri_p + ri_m
         so = ro_p + ro_m
         wi = np.where(si > 0.0, (r - s) / np.where(si > 0.0, 4.0 * si, 1.0), 0.0)
         wo = np.where(so > 0.0, (r + s) / np.where(so > 0.0, 4.0 * so, 1.0), 0.0)
         values = 1.0 - (si / 2.0 + wi) ** 2 - (si / 2.0 - wi) ** 2 - (so / 2.0 + wo) ** 2 - (so / 2.0 - wo) ** 2
-    values = np.clip(values, 0.0, None)
-    return np.where(physical, values, np.nan)
+    return np.where(physical, np.maximum(values, 0.0), np.nan)
+
+
+def xz_coherence_a1(params: XStateZParams) -> float:
+    """Closed-form coherence of a z-polarized X state in the computational
+    product basis a1."""
+    return float(_xz_values(params.r, params.s, params.c1, params.c2, params.c3, "a1"))
+
+
+def xz_coherence_sum(params: XStateZParams) -> float:
+    """Coherence of a z-polarized X state summed over the three reference
+    bases: 2 - tr(sqrt(rho))^2 / 2."""
+    return float(_xz_values(params.r, params.s, params.c1, params.c2, params.c3, "sum"))
+
+
+def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
+    """Vectorized coherence of z-polarized X states over coefficient grids.
+
+    ``measure`` is 'a1' or 'sum'.  r and s are fixed scalars; c1, c2, c3
+    broadcast.  Unphysical points (negative block eigenvalues) evaluate to
+    NaN.
+    """
+    if measure not in ("a1", "sum"):
+        raise ValueError(f"unknown measure {measure!r}; expected 'a1' or 'sum'")
+    return _xz_values(r, s, np.asarray(c1, dtype=float), np.asarray(c2, dtype=float), np.asarray(c3, dtype=float), measure)
 
 
 # -- closed-form candidates kept for auditing ----------------------------------
@@ -320,9 +290,3 @@ def relative_entropy_coherence(rho: DensityMatrix, basis: OrthonormalBasis | Non
     diag_entropy = _entropy_bits(np.diag(m).real)
     state_entropy = _entropy_bits(np.linalg.eigvalsh(rho.matrix))
     return max(diag_entropy - state_entropy, 0.0)
-
-
-def all_basis_coherences(rho: DensityMatrix) -> dict[str, float]:
-    """Numeric coherence of a two-qubit state in each reference basis."""
-    amubs = qubit_amubs()
-    return {lab: coherence(rho, b) for lab, b in zip(("a1", "a2", "a3"), amubs.bases)}

@@ -39,30 +39,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equally sized square matrices."""
-    a, b = as_square(a), as_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor (Kronecker) product; result dimension is the product of the inputs'."""
     return np.kron(as_square(a), as_square(b))
-
-
-def trace(a: np.ndarray) -> complex:
-    """Sum of the diagonal."""
-    return complex(np.trace(as_square(a)))
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] = ab - ba."""
-    a, b = as_square(a), as_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b - b @ a
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -71,15 +50,11 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return hermiticity_defect(a) <= tol
-
-
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     a = as_square(a)
     defect = hermiticity_defect(a)
     if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: asymmetry {defect:.3e} > {tol:.1e}")
+        raise ValueError(f"matrix is not Hermitian: hermiticity defect {defect:.3e} > {tol:.1e}")
     return a
 
 

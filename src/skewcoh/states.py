@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EYE2, SIGMA1, SIGMA2, SIGMA3, as_square, hermiticity_defect
+from .linalg import EYE2, SIGMA1, SIGMA2, SIGMA3, as_square, sqrt_psd
 
 # Validation tolerances for density matrices (double precision, dims <= 4).
 STATE_TOL = 1e-10
@@ -31,26 +31,29 @@ for _m in PAULI_PAIRS:
 class DensityMatrix:
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
-    All three properties are checked on construction (hermiticity and trace
-    to ``STATE_TOL``, eigenvalues allowed down to ``-STATE_TOL``), and the
-    stored array is frozen so instances stay immutable.
+    All three properties are checked on construction (trace to
+    ``STATE_TOL``; hermiticity to ``HERMITICITY_TOL`` and eigenvalues down
+    to ``-STATE_TOL`` by :func:`sqrt_psd`), and the stored array is frozen
+    so instances stay immutable.  The eigensolve that checks positivity
+    also gives the PSD square root, kept as ``_root`` so the numeric
+    coherence routes never diagonalize the state again.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         m = as_square(self.matrix).copy()
-        defect = hermiticity_defect(m)
-        if defect > STATE_TOL:
-            raise ValueError(f"not a state: hermiticity defect {defect:.3e}")
         tr = np.trace(m)
         if abs(tr - 1.0) > STATE_TOL:
             raise ValueError(f"not a state: trace {tr:.12g} != 1")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -STATE_TOL:
-            raise ValueError(f"not a state: min eigenvalue {w[0]:.3e}")
+        try:
+            root = sqrt_psd(m, -STATE_TOL)
+        except ValueError as exc:
+            raise ValueError(f"not a state: {exc}") from None
         m.flags.writeable = False
+        root.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_root", root)
 
     @property
     def dim(self) -> int:
@@ -72,6 +75,22 @@ def tetrahedron_margins(c1: float, c2: float, c3: float) -> tuple[float, float, 
     s = c1 + c2
     d = c1 - c2
     return (low - s, low + s, high + d, high - d)
+
+
+def _xz_margins(r, s, c1, c2, c3):
+    """The four block margins of the z-polarized X state, each 4x an exact
+    eigenvalue: (1 - c3) -+ hypot(c1 + c2, r - s) for the {|01>, |10>}
+    block and (1 + c3) +- hypot(c1 - c2, r + s) for the {|00>, |11>} block.
+
+    At r = s = 0 they are the tetrahedron margins bit for bit, up to order,
+    so the X-state field matches the Bell-diagonal one exactly even on the
+    boundary, where sqrt amplifies noise.
+    """
+    low = 1.0 - c3
+    high = 1.0 + c3
+    inner = np.hypot(c1 + c2, r - s)
+    outer = np.hypot(c1 - c2, r + s)
+    return (low - inner, low + inner, high + outer, high - outer)
 
 
 @dataclass(frozen=True)
@@ -108,8 +127,9 @@ class XStateZParams:
     """Parameters of the z-polarized X state: local Bloch z-components
     r, s plus correlation coefficients (c1, c2, c3).
 
-    No simple closed inequality carves out the physical region, so the
-    assembled matrix is diagonalized numerically at construction.
+    The state is physical iff its four block margins are >= 0, checked
+    with the same ``TETRA_TOL`` slack as the X-state closed forms, so a
+    validated point never evaluates to NaN there.
     """
 
     r: float
@@ -123,11 +143,11 @@ class XStateZParams:
             v = getattr(self, name)
             if not -1.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [-1, 1]")
-        w = np.linalg.eigvalsh(_xz_matrix(self.r, self.s, self.c1, self.c2, self.c3))
-        if w[0] < -STATE_TOL:
+        worst = min(_xz_margins(self.r, self.s, self.c1, self.c2, self.c3))
+        if worst < -TETRA_TOL:
             raise ValueError(
                 f"(r, s, c)=({self.r}, {self.s}, {self.c1}, {self.c2}, {self.c3}) "
-                f"is unphysical: min eigenvalue {w[0]:.3e}"
+                f"is unphysical: block margin {worst:.3e}"
             )
 
 

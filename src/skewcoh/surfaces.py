@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._mc_tables import EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
-from .channels import CHANNEL_KINDS, predicted_coefficient_grid
+from ._mc_tables import EDGE_CORNERS, TRI_TABLE
+from .channels import predicted_coefficient_grid
 from .coherence import (
     bd_coherence_values,
     isotropic_coherence,
@@ -164,8 +164,6 @@ def sample_channel_field(kind: str, p: float, resolution: int = 101) -> ScalarFi
     of the map into the closed form), and reduces to the plain field at
     p = 0.
     """
-    if kind not in CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
     axis, c1, c2, c3 = _grid(resolution)
     moved = predicted_coefficient_grid(kind, c1, c2, c3, p)
     values = bd_coherence_values(*moved, "a1")
@@ -178,10 +176,10 @@ def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
     A grid corner counts as below-level when its value is <= level or when
     it is non-physical; the latter clips mixed cells against the physical
     boundary.  Levels above the field maximum give an empty mesh, which is
-    a valid result.
+    a valid result; a negative or non-finite level is rejected.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    if not (np.isfinite(level) and level >= 0):
+        raise ValueError(f"level must be finite and >= 0, got {level}")
     vals = field.values
     axis = field.axis
     finite = np.isfinite(vals)
@@ -257,13 +255,13 @@ def channel_surface(kind: str, p: float, level: float, resolution: int = 101) ->
 def werner_curve(p_grid) -> Curve1D:
     """Closed-form Werner coherence along a p grid."""
     xs = np.asarray(p_grid, dtype=float)
-    return Curve1D(parameter="p", xs=xs, values=np.array([werner_coherence(p) for p in xs]))
+    return Curve1D(parameter="p", xs=xs, values=werner_coherence(xs))
 
 
 def isotropic_curve(f_grid) -> Curve1D:
     """Closed-form isotropic coherence along an F grid."""
     xs = np.asarray(f_grid, dtype=float)
-    return Curve1D(parameter="F", xs=xs, values=np.array([isotropic_coherence(f) for f in xs]))
+    return Curve1D(parameter="F", xs=xs, values=isotropic_coherence(xs))
 
 
 def mesh_component_count(mesh: IsoSurfaceMesh) -> int:

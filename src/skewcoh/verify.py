@@ -36,6 +36,7 @@ from .states import (
     BellDiagonalParams,
     DensityMatrix,
     XStateZParams,
+    _xz_margins,
     bell_diagonal,
     correlation_coefficients,
     isotropic,
@@ -95,14 +96,12 @@ def random_bell_params(rng: np.random.Generator, n: int) -> list[BellDiagonalPar
 
 
 def random_xz_params(rng: np.random.Generator, n: int) -> list[XStateZParams]:
-    """Uniform draws of (r, s, c) kept when the assembled state is PSD."""
+    """Uniform draws of (r, s, c) kept when all four block margins are >= 0."""
     out: list[XStateZParams] = []
     while len(out) < n:
         r, s = rng.uniform(-1.0, 1.0, size=2)
         c1, c2, c3 = rng.uniform(-1.0, 1.0, size=3)
-        inner = np.hypot(c1 + c2, r - s)
-        outer = np.hypot(c1 - c2, r + s)
-        if 1.0 - c3 - inner >= 0.0 and 1.0 + c3 - outer >= 0.0:
+        if min(_xz_margins(r, s, c1, c2, c3)) >= 0.0:
             out.append(XStateZParams(r, s, c1, c2, c3))
     return out
 
@@ -255,7 +254,7 @@ def suite_closed_forms(rng: np.random.Generator, samples: int | None = None) -> 
 def suite_werner(rng: np.random.Generator, samples: int | None = None) -> SuiteResult:
     res = SuiteResult("werner")
     grid = np.linspace(0.0, 1.0, 101)
-    closed = np.array([werner_coherence(p) for p in grid])
+    closed = werner_coherence(grid)
     worst = 0.0
     for p, cval in zip(grid, closed):
         rho = werner(p)
@@ -271,7 +270,7 @@ def suite_werner(rng: np.random.Generator, samples: int | None = None) -> SuiteR
 def suite_isotropic(rng: np.random.Generator, samples: int | None = None) -> SuiteResult:
     res = SuiteResult("isotropic")
     grid = np.linspace(0.0, 1.0, 101)
-    closed = np.array([isotropic_coherence(f) for f in grid])
+    closed = isotropic_coherence(grid)
     worst = 0.0
     for f, cval in zip(grid, closed):
         rho = isotropic(f)
@@ -328,11 +327,12 @@ def suite_xz(rng: np.random.Generator, samples: int | None = None) -> SuiteResul
         worst_red = max(worst_red, abs(xz_coherence_a1(flat) - bd_coherence(prm, "a1")))
     res.dev("r=s=0 reduction equals Bell-diagonal closed form", worst_red, 1e-10)
 
-    # the fallback path: vanishing block-gap denominators route to numeric
+    # the {|01>, |10>} block gap vanishes here: a removable singularity of
+    # the block square roots written as a division by the gap
     singular = XStateZParams(0.2, 0.2, 0.4, -0.4, 0.1)
     rho = x_state_z(singular)
     res.dev(
-        "vanishing-gap fallback equals numeric",
+        "vanishing-gap point equals numeric",
         abs(xz_coherence_a1(singular) - coherence(rho, a1)),
         1e-12,
     )

@@ -106,6 +106,27 @@ class TestSurfaceCommand:
         )
         assert code == cli.EXIT_BAD_ARGS
 
+    def test_nan_level_exits_2_without_writing(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "surface", "--field", "bd-a1", "--level", "nan",
+            "--resolution", "11", "--out", str(out_dir),
+        )
+        assert code == cli.EXIT_BAD_ARGS
+        assert "level" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_channel_p_outside_unit_interval_exits_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "surface", "--field", "channel:BF", "--p", "1.5", "--level", "0.05",
+            "--resolution", "11", "--out", str(out_dir),
+        )
+        assert code == cli.EXIT_BAD_ARGS
+        assert "p=1.5 outside [0, 1]" in err
+        assert not out_dir.exists()
+
     def test_xz_field_ply_and_csv(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "surface", "--field", "xz-a1", "--r", "0.1", "--s", "0.1",
@@ -198,6 +219,13 @@ class TestConfigFile:
         )
         assert code == 0
         assert (tmp_path / "surface_bd-a1_level0.1.obj").exists()
+
+    def test_attached_config_form(self, capsys, tmp_path):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("samples=2\n")
+        code, out, _ = run(capsys, "verify", "--suite", "closed-forms", f"--config={cfg}")
+        assert code == 0
+        assert "over 2 states" in out
 
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

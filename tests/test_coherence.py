@@ -68,6 +68,18 @@ class TestSkewInformation:
 
 
 class TestNumericCoherence:
+    def test_one_square_root_per_state(self, amubs, monkeypatch):
+        from skewcoh import states
+
+        calls = []
+        real = states.sqrt_psd
+        monkeypatch.setattr(states, "sqrt_psd", lambda *args: calls.append(1) or real(*args))
+        rho = bell_diagonal(BellDiagonalParams(0.3, -0.2, 0.5))
+        for basis in amubs:
+            coherence(rho, basis)
+        coherence_from_skew_information(rho, amubs[0])
+        assert len(calls) == 1
+
     def test_maximally_mixed_vanishes(self, amubs):
         rho = DensityMatrix(np.eye(4) / 4)
         for basis in amubs:
@@ -179,6 +191,13 @@ class TestWernerIsotropic:
             werner_coherence(-0.1)
         with pytest.raises(ValueError):
             isotropic_coherence(1.1)
+        with pytest.raises(ValueError):
+            werner_coherence(np.array([0.5, np.nan]))
+
+    def test_array_matches_scalar(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(werner_coherence(grid), [werner_coherence(float(p)) for p in grid])
+        assert np.array_equal(isotropic_coherence(grid), [isotropic_coherence(float(f)) for f in grid])
 
 
 class TestXStateClosedForms:
@@ -195,9 +214,21 @@ class TestXStateClosedForms:
         total = sum(coherence(rho, b) for b in amubs)
         assert xz_coherence_sum(prm) == pytest.approx(total, abs=1e-10)
 
-    def test_vanishing_gap_falls_back_to_numeric(self, amubs):
+    def test_vanishing_gap_point_equals_numeric(self, amubs):
+        # r = s and c1 = -c2: the {|01>, |10>} block gap is exactly zero
         prm = XStateZParams(0.2, 0.2, 0.4, -0.4, 0.1)
-        assert xz_coherence_a1(prm) == coherence(x_state_z(prm), amubs[0])
+        assert xz_coherence_a1(prm) == pytest.approx(coherence(x_state_z(prm), amubs[0]), abs=1e-12)
+
+    def test_boundary_state_evaluates_finite(self, amubs):
+        # hypot(3/8, 1/2) = 5/8 = 1 - c3 exactly: one block margin is 0,
+        # then -5e-13, inside the validation slack
+        for c3 in (0.375, 0.375 + 5e-13):
+            prm = XStateZParams(0.25, -0.25, 0.25, 0.125, c3)
+            rho = x_state_z(prm)
+            assert np.isfinite(xz_coherence_a1(prm))
+            assert np.isfinite(xz_coherence_sum(prm))
+            assert xz_coherence_a1(prm) == pytest.approx(coherence(rho, amubs[0]), abs=1e-6)
+            assert xz_coherence_sum(prm) == pytest.approx(sum(coherence(rho, b) for b in amubs), abs=1e-6)
 
     def test_unphysical_params_raise(self):
         with pytest.raises(ValueError, match="unphysical"):

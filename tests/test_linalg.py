@@ -8,12 +8,9 @@ from skewcoh.linalg import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    commutator,
     hermitian_eig,
     kron,
-    multiply,
     sqrt_psd,
-    trace,
 )
 
 EYE4 = np.eye(4, dtype=complex)
@@ -34,25 +31,6 @@ def hermitian_matrix(dim):
     return square_matrix(dim).map(lambda m: 0.5 * (m + m.conj().T))
 
 
-class TestMultiply:
-    def test_identity(self):
-        assert np.array_equal(multiply(EYE2, EYE2), EYE2)
-
-    def test_pauli_involution(self):
-        assert np.allclose(multiply(SIGMA1, SIGMA1), EYE2)
-
-    def test_pauli_algebra(self):
-        assert np.allclose(multiply(SIGMA1, SIGMA2), 1j * SIGMA3)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            multiply(EYE2, EYE4)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            multiply(np.ones((2, 3)), np.ones((3, 2)))
-
-
 class TestKron:
     def test_identities(self):
         assert np.array_equal(kron(EYE2, EYE2), EYE4)
@@ -66,7 +44,8 @@ class TestKron:
 
     @given(square_matrix(2), square_matrix(3))
     def test_trace_multiplicative(self, a, b):
-        assert abs(trace(kron(a, b)) - trace(a) * trace(b)) <= 1e-12 * (1 + abs(trace(a) * trace(b)))
+        product = np.trace(a) * np.trace(b)
+        assert abs(np.trace(kron(a, b)) - product) <= 1e-12 * (1 + abs(product))
 
 
 class TestHermitianEig:
@@ -123,23 +102,3 @@ class TestSqrtPsd:
         scale = 1.0 + float(np.abs(p).max())
         assert np.abs(root @ root - p).max() <= 1e-9 * scale
         assert np.abs(root - root.conj().T).max() <= 1e-12 * scale
-
-
-class TestCommutatorTrace:
-    def test_identity_commutes(self):
-        assert np.allclose(commutator(EYE2, SIGMA1), 0.0)
-
-    def test_pauli_commutator(self):
-        assert np.allclose(commutator(SIGMA1, SIGMA2), 2j * SIGMA3)
-
-    def test_diagonals_commute(self):
-        d1, d2 = np.diag([1.0, 2.0]).astype(complex), np.diag([-3.0, 7.0]).astype(complex)
-        assert np.allclose(commutator(d1, d2), 0.0)
-
-    @given(square_matrix(3))
-    def test_self_commutator_vanishes(self, a):
-        assert np.abs(commutator(a, a)).max() == 0.0
-
-    def test_traces(self):
-        assert trace(EYE4) == 4.0
-        assert trace(SIGMA3) == 0.0

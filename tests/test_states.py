@@ -70,6 +70,12 @@ class TestXStateZ:
         with pytest.raises(ValueError, match="unphysical"):
             XStateZParams(1.0, 1.0, 0.0, 0.0, -1.0)
 
+    def test_margin_tolerance(self):
+        # r = s and c1 + c2 = 1 - c3: the {|01>, |10>} block margin is 1 - c3 - 0.5
+        XStateZParams(0.1, 0.1, 0.25, 0.25, 0.5)
+        with pytest.raises(ValueError, match="block margin"):
+            XStateZParams(0.1, 0.1, 0.25, 0.25, 0.5 + 1e-11)
+
     def test_bloch_vectors(self):
         r_vec, s_vec = local_bloch_vectors(x_state_z(XStateZParams(0.3, -0.2, 0.1, 0.1, 0.1)))
         assert np.allclose(r_vec, [0.0, 0.0, 0.3], atol=1e-12)

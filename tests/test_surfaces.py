@@ -138,6 +138,11 @@ class TestMarchingCubes:
         with pytest.raises(ValueError, match="level"):
             extract_isosurface(bd_a1, -0.1)
 
+    def test_non_finite_level_rejected(self, bd_a1):
+        for level in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                extract_isosurface(bd_a1, level)
+
     def test_determinism(self, bd_a1):
         m1 = extract_isosurface(bd_a1, 0.2)
         m2 = extract_isosurface(bd_a1, 0.2)
@@ -172,6 +177,10 @@ class TestChannelSurfaces:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown channel"):
             sample_channel_field("AD", 0.1, RES)
+
+    def test_p_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="outside"):
+            sample_channel_field("BF", 1.5, RES)
 
 
 class TestCurves:
