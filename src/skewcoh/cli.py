@@ -124,6 +124,10 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {args.family!r}")
 
+    if args.csv is not None:
+        lines = ["quantity,value"] + [f"{name},{_fmt(value)}" for name, value in rows]
+        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="ascii")
+
     header = [f"family={args.family}", f"basis={args.basis}"]
     if args.c is not None:
         header.append(f"c=({args.c[0]:g},{args.c[1]:g},{args.c[2]:g})")
@@ -140,8 +144,6 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         print(f"{'rel-entropy':<18}{_fmt(relative_entropy_coherence(rho, basis))}")
 
     if args.csv is not None:
-        lines = ["quantity,value"] + [f"{name},{_fmt(value)}" for name, value in rows]
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="ascii")
         print(args.csv)
     return EXIT_OK
 
@@ -167,7 +169,9 @@ def cmd_surface(args: argparse.Namespace) -> int:
         )
 
     mesh = sf.extract_isosurface(field, args.level)
-    if mesh.is_empty:
+    if field.physical_fraction() == 0.0:
+        _warn("the field has an empty physical region; the mesh is empty")
+    elif mesh.is_empty:
         _warn(f"level {args.level:g} exceeds the field maximum; the mesh is empty")
     out = _out_dir(args)
     writer = sf.write_obj if args.format == "obj" else sf.write_ply
@@ -201,13 +205,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Without allow_abbrev, argparse takes a prefix such as --conf for
+    # --config, which _expand_config never sees, so the file is ignored.
     parser = argparse.ArgumentParser(
         prog="skewcoh",
+        allow_abbrev=False,
         description="Skew-information coherence of qubit states in mutually unbiased bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("coherence", help="evaluate the coherence of one state")
+    pc = sub.add_parser("coherence", allow_abbrev=False, help="evaluate the coherence of one state")
     pc.add_argument("--family", choices=("bell", "werner", "isotropic", "xz"), required=True)
     pc.add_argument("--c", type=_parse_triple, help="correlation coefficients c1,c2,c3")
     pc.add_argument("--p", type=float, help="werner parameter")
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--config", help="key=value file supplying default flags")
     pc.set_defaults(func=cmd_coherence)
 
-    ps = sub.add_parser("surface", help="export a constant-coherence mesh")
+    ps = sub.add_parser("surface", allow_abbrev=False, help="export a constant-coherence mesh")
     ps.add_argument("--field", required=True, help=f"one of {BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS}")
     ps.add_argument("--level", type=float, required=True)
     ps.add_argument("--p", type=float, help="channel parameter for channel fields")
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", help="key=value file supplying default flags")
     ps.set_defaults(func=cmd_surface)
 
-    pd = sub.add_parser("dynamics", help="coherence decay curves under the four channels")
+    pd = sub.add_parser("dynamics", allow_abbrev=False, help="coherence decay curves under the four channels")
     pd.add_argument(
         "--c",
         type=_parse_triple,
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--config", help="key=value file supplying default flags")
     pd.set_defaults(func=cmd_dynamics)
 
-    pv = sub.add_parser("verify", help="run the certification suites")
+    pv = sub.add_parser("verify", allow_abbrev=False, help="run the certification suites")
     pv.add_argument("--suite", action="append", choices=tuple(ALL_SUITES), help="run only this suite (repeatable)")
     pv.add_argument("--samples", type=int, help="override per-suite sample counts")
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)

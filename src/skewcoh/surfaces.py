@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._mc_tables import EDGE_CORNERS, TRI_TABLE
+from ._mc_tables import EDGE_AXIS, EDGE_OFFSET, TRI_TABLE
 from .channels import predicted_coefficient_grid
 from .coherence import (
     bd_coherence_values,
@@ -28,22 +28,9 @@ from .coherence import (
 BD_MEASURES = ("a1", "a2", "a3", "sum")
 # Single-basis fields are capped at 1/2, summed fields at 3/2.
 FIELD_CAP = 1.5 + 1e-9
-
-CORNER_OFFSETS = (
-    (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
-    (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
-)
-
-# Canonical (grid offset, axis) key for each cube edge, derived from the
-# corner pairs: the key anchors at the corner with the smaller offset along
-# the axis the two corners differ in.
-_EDGE_KEYS = []
-for _a, _b in EDGE_CORNERS:
-    _oa, _ob = CORNER_OFFSETS[_a], CORNER_OFFSETS[_b]
-    _axis = next(i for i in range(3) if _oa[i] != _ob[i])
-    _lo = _oa if _oa[_axis] < _ob[_axis] else _ob
-    _EDGE_KEYS.append((_lo, _axis))
-_EDGE_KEYS = tuple(_EDGE_KEYS)
+# A field holds several float arrays of resolution^3 points; 301^3 is
+# about 220 MB each.
+MAX_RESOLUTION = 301
 
 
 @dataclass(frozen=True)
@@ -120,10 +107,12 @@ class Curve1D:
 
 
 def _grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
-    c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij")
+    # Sparse (n,1,1), (1,n,1), (1,1,n) coordinates: the field kernels are
+    # elementwise and broadcast them, so no full coordinate grid is built.
+    c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
     return axis, c1, c2, c3
 
 
@@ -196,54 +185,35 @@ def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
         | (b[1:, 1:, 1:] << 6)
         | (b[:-1, 1:, 1:] << 7)
     )
-    active = np.argwhere((cfg != 0) & (cfg != 255))
+    ci, cj, ck = np.nonzero((cfg != 0) & (cfg != 255))
+    configs = cfg[ci, cj, ck]
+
+    # Key every crossed edge, in cell order and then triangle order, by the
+    # flat grid index of its anchor corner and its axis: key = index*3 + axis.
+    n = axis.size
+    strides = np.array([n * n, n, 1])
+    edge_key = (EDGE_OFFSET @ strides) * 3 + EDGE_AXIS
+    rows = TRI_TABLE[configs]
+    crossed = rows != -1
+    keys = np.repeat(((ci * n + cj) * n + ck) * 3, crossed.sum(axis=1)) + edge_key[rows[crossed]]
+
+    # Vertices are numbered in order of first use.
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    tris = np.argsort(order)[inverse].reshape(-1, 3)
 
     # Interpolation values: non-physical corners act as strictly below level.
-    interp = np.where(finite, vals, level - 1.0)
-
-    vertex_ids: dict[tuple[int, int, int, int], int] = {}
-    vertices: list[tuple[float, float, float]] = []
-    triangles: list[tuple[int, int, int]] = []
-
-    def edge_vertex(ci: int, cj: int, ck: int, edge: int) -> int:
-        (ox, oy, oz), ax = _EDGE_KEYS[edge]
-        gx, gy, gz = ci + ox, cj + oy, ck + oz
-        key = (gx, gy, gz, ax)
-        vid = vertex_ids.get(key)
-        if vid is not None:
-            return vid
-        step = [0, 0, 0]
-        step[ax] = 1
-        v0 = interp[gx, gy, gz]
-        v1 = interp[gx + step[0], gy + step[1], gz + step[2]]
-        if v1 == v0:
-            t = 0.5
-        else:
-            t = min(max((level - v0) / (v1 - v0), 0.0), 1.0)
-        pos = [axis[gx], axis[gy], axis[gz]]
-        lo = pos[ax]
-        hi = axis[(gx, gy, gz)[ax] + 1]
-        pos[ax] = lo + t * (hi - lo)
-        vid = len(vertices)
-        vertex_ids[key] = vid
-        vertices.append((pos[0], pos[1], pos[2]))
-        return vid
-
-    for ci, cj, ck in active:
-        c = int(cfg[ci, cj, ck])
-        tri_row = TRI_TABLE[c]
-        m = 0
-        while tri_row[m] != -1:
-            ids = (
-                edge_vertex(ci, cj, ck, tri_row[m]),
-                edge_vertex(ci, cj, ck, tri_row[m + 1]),
-                edge_vertex(ci, cj, ck, tri_row[m + 2]),
-            )
-            triangles.append(ids)
-            m += 3
-
-    verts = np.array(vertices, dtype=float).reshape(-1, 3)
-    tris = np.array(triangles, dtype=int).reshape(-1, 3)
+    interp = np.where(finite, vals, level - 1.0).ravel()
+    flat, ax = np.divmod(unique[order], 3)
+    v0 = interp[flat]
+    v1 = interp[flat + strides[ax]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(v1 == v0, 0.5, np.minimum(np.maximum((level - v0) / (v1 - v0), 0.0), 1.0))
+    grid = np.stack(np.unravel_index(flat, vals.shape), axis=1)
+    verts = axis[grid]
+    along = np.arange(len(verts)), ax
+    lo = verts[along]
+    verts[along] = lo + t * (axis[grid[along] + 1] - lo)
     return IsoSurfaceMesh(vertices=verts, triangles=tris, level=float(level))
 
 
@@ -265,25 +235,28 @@ def isotropic_curve(f_grid) -> Curve1D:
 
 
 def mesh_component_count(mesh: IsoSurfaceMesh) -> int:
-    """Number of connected components, by vertex-sharing union-find."""
-    n = len(mesh.vertices)
-    if n == 0 or len(mesh.triangles) == 0:
+    """Number of connected components, by vertex-sharing label propagation.
+
+    Each vertex starts as its own label; every triangle edge hooks the larger
+    of its two roots onto the smaller, and pointer jumping flattens the
+    labels to roots, until the two ends of every edge share a root.
+    """
+    tris = mesh.triangles
+    if len(tris) == 0:
         return 0
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    used = set()
-    for a, b, c in mesh.triangles:
-        used.update((int(a), int(b), int(c)))
-        ra, rb, rc = find(int(a)), find(int(b)), find(int(c))
-        parent[rb] = ra
-        parent[find(rc)] = find(ra)
-    return len({find(v) for v in used})
+    a = np.concatenate((tris[:, 0], tris[:, 1]))
+    b = np.concatenate((tris[:, 1], tris[:, 2]))
+    label = np.arange(len(mesh.vertices))
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return len(np.unique(label[tris]))
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 # -- exports -------------------------------------------------------------------
@@ -292,52 +265,50 @@ def mesh_component_count(mesh: IsoSurfaceMesh) -> int:
 # CSV with non-physical points omitted; curves as CSV.  Numeric formatting
 # is fixed so identical inputs always produce byte-identical files.
 
+_CHUNK_ROWS = 1 << 16
 
-def _fmt(x: float, digits: int = 9) -> str:
-    return f"{x:.{digits}g}"
+
+def _write(path: str | Path, header: str, *sections: tuple[str, np.ndarray]) -> Path:
+    """Write ``header``, then one ``template`` line per row of each table.
+
+    Each chunk of rows is formatted with a single ``%``, which gives the
+    bytes of per-row formatting while the text in memory stays one chunk.
+    """
+    path = Path(path)
+    with path.open("w", encoding="ascii") as out:
+        out.write(header)
+        for template, table in sections:
+            for start in range(0, len(table), _CHUNK_ROWS):
+                rows = table[start : start + _CHUNK_ROWS]
+                out.write((template * len(rows)) % tuple(rows.ravel().tolist()))
+    return path
 
 
 def write_obj(mesh: IsoSurfaceMesh, path: str | Path) -> Path:
-    path = Path(path)
-    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
-    return path
+    return _write(path, "", ("v %.9g %.9g %.9g\n", mesh.vertices), ("f %d %d %d\n", mesh.triangles + 1))
 
 
 def write_ply(mesh: IsoSurfaceMesh, path: str | Path) -> Path:
-    path = Path(path)
-    header = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(mesh.vertices)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        f"element face {len(mesh.triangles)}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    body = [f"{_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in mesh.vertices]
-    body += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
-    path.write_text("\n".join(header + body) + "\n", encoding="ascii")
-    return path
+    header = (
+        "ply\n"
+        "format ascii 1.0\n"
+        f"element vertex {len(mesh.vertices)}\n"
+        "property float x\n"
+        "property float y\n"
+        "property float z\n"
+        f"element face {len(mesh.triangles)}\n"
+        "property list uchar int vertex_indices\n"
+        "end_header\n"
+    )
+    return _write(path, header, ("%.9g %.9g %.9g\n", mesh.vertices), ("3 %d %d %d\n", mesh.triangles))
 
 
 def write_field_csv(field: ScalarField3D, path: str | Path) -> Path:
-    path = Path(path)
-    axis = field.axis
-    rows = ["c1,c2,c3,value"]
-    values = field.values
-    for i, j, k in np.argwhere(np.isfinite(values)):
-        rows.append(f"{_fmt(axis[i])},{_fmt(axis[j])},{_fmt(axis[k])},{_fmt(values[i, j, k])}")
-    path.write_text("\n".join(rows) + "\n", encoding="ascii")
-    return path
+    points = np.nonzero(np.isfinite(field.values))
+    table = np.stack([field.axis[i] for i in points] + [field.values[points]], axis=1)
+    return _write(path, "c1,c2,c3,value\n", ("%.9g,%.9g,%.9g,%.9g\n", table))
 
 
 def write_curve_csv(curve: Curve1D, path: str | Path, header: str = "p,C", digits: int = 12) -> Path:
-    path = Path(path)
-    rows = [header]
-    rows += [f"{_fmt(x, digits)},{_fmt(v, digits)}" for x, v in zip(curve.xs, curve.values)]
-    path.write_text("\n".join(rows) + "\n", encoding="ascii")
-    return path
+    table = np.stack((curve.xs, curve.values), axis=1)
+    return _write(path, f"{header}\n", (f"%.{digits}g,%.{digits}g\n", table))

@@ -49,6 +49,15 @@ class TestCoherenceCommand:
         assert code == 0
         assert target.read_text().startswith("quantity,value")
 
+    def test_csv_bad_path_exits_2_without_output(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "row.csv"
+        code, out, err = run(
+            capsys, "coherence", "--family", "werner", "--p", "0.5", "--csv", str(target)
+        )
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert "error" in err
+
     def test_curve_grid(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "coherence", "--family", "werner", "--p", "0", "--grid", "11", "--out", str(tmp_path)
@@ -91,6 +100,26 @@ class TestSurfaceCommand:
         )
         assert code == 0
         assert "empty" in err
+
+    def test_empty_physical_region_warns(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "surface", "--field", "xz-a1", "--r", "2", "--s", "2", "--level", "0.1",
+            "--resolution", "11", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert "empty physical region" in err
+        assert "exceeds" not in err
+
+    def test_resolution_above_cap_exits_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "surface", "--field", "bd-a1", "--level", "0.1",
+            "--resolution", "100000", "--out", str(out_dir),
+        )
+        assert code == cli.EXIT_BAD_ARGS
+        assert "resolution" in err
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_channel_field(self, capsys, tmp_path):
         code, out, _ = run(
@@ -232,3 +261,12 @@ class TestConfigFile:
         cfg.write_text("just some text\n")
         code, _, err = run(capsys, "surface", "--config", str(cfg), "--field", "bd-a1", "--level", "0.1")
         assert code == cli.EXIT_BAD_ARGS
+
+    def test_abbreviated_config_flag_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("samples=2\n")
+        for flag in (["--conf", str(cfg)], [f"--conf={cfg}"]):
+            code, out, err = run(capsys, "verify", "--suite", "closed-forms", *flag)
+            assert code == cli.EXIT_BAD_ARGS
+            assert out == ""
+            assert "unrecognized arguments" in err

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from skewcoh.coherence import bd_coherence_values
 from skewcoh.surfaces import (
+    MAX_RESOLUTION,
     Curve1D,
     IsoSurfaceMesh,
     ScalarField3D,
@@ -62,6 +65,21 @@ class TestFieldSampling:
     def test_resolution_validated(self):
         with pytest.raises(ValueError, match="resolution"):
             sample_bd_field("a1", 1)
+
+    def test_resolution_cap_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for sample in (
+                lambda: sample_bd_field("a1", MAX_RESOLUTION + 1),
+                lambda: sample_xz_field(0.1, 0.1, "a1", MAX_RESOLUTION + 1),
+                lambda: sample_channel_field("BF", 0.1, MAX_RESOLUTION + 1),
+            ):
+                with pytest.raises(ValueError, match="resolution"):
+                    sample()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestXzFieldSampling:

@@ -1,0 +1,221 @@
+"""The array-native surface pipeline against its loop references.
+
+The figure files must stay byte for byte what the per-edge marching-cubes
+loop and the per-line writers produced; the hashes in
+``figure_hashes_res41.json`` were recorded from that code.  The loop
+implementations are kept here, verbatim, as the references the array code
+is compared with.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from skewcoh import cli
+from skewcoh._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
+from skewcoh.surfaces import (
+    IsoSurfaceMesh,
+    ScalarField3D,
+    channel_surface,
+    extract_isosurface,
+    mesh_component_count,
+    sample_bd_field,
+    sample_channel_field,
+    sample_xz_field,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+FIGURE_HASHES = json.loads((Path(__file__).with_name("figure_hashes_res41.json")).read_text())
+
+# sha256 of `surface --field xz-a1 --r 0.1 --s 0.1 --level 0.1 --resolution 21
+# --format ply --field-csv`, recorded from the per-line writers.
+PLY_AND_FIELD_HASHES = {
+    "surface_xz-a1_r0.1_s0.1_level0.1.ply": "4332d5dd68d6df09ff832401371f51fc85a434c902701227719c642fce8f9c8f",
+    "field_xz-a1_r0.1_s0.1.csv": "14fd05223f474175f32bab95eab92ecdf972f0d707a68902eb90722eea553b0f",
+}
+
+_EDGE_KEYS = []
+for _a, _b in EDGE_CORNERS:
+    _oa, _ob = CORNER_OFFSETS[_a], CORNER_OFFSETS[_b]
+    _axis = next(i for i in range(3) if _oa[i] != _ob[i])
+    _lo = _oa if _oa[_axis] < _ob[_axis] else _ob
+    _EDGE_KEYS.append((_lo, _axis))
+_EDGE_KEYS = tuple(_EDGE_KEYS)
+
+
+def reference_extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
+    """The per-edge marching-cubes loop the array code replaced."""
+    vals = field.values
+    axis = field.axis
+    finite = np.isfinite(vals)
+    below = ~finite | (np.where(finite, vals, 0.0) <= level)
+
+    b = below.astype(np.uint16)
+    cfg = (
+        b[:-1, :-1, :-1]
+        | (b[1:, :-1, :-1] << 1)
+        | (b[1:, 1:, :-1] << 2)
+        | (b[:-1, 1:, :-1] << 3)
+        | (b[:-1, :-1, 1:] << 4)
+        | (b[1:, :-1, 1:] << 5)
+        | (b[1:, 1:, 1:] << 6)
+        | (b[:-1, 1:, 1:] << 7)
+    )
+    active = np.argwhere((cfg != 0) & (cfg != 255))
+
+    interp = np.where(finite, vals, level - 1.0)
+
+    vertex_ids = {}
+    vertices = []
+    triangles = []
+
+    def edge_vertex(ci, cj, ck, edge):
+        (ox, oy, oz), ax = _EDGE_KEYS[edge]
+        gx, gy, gz = ci + ox, cj + oy, ck + oz
+        key = (gx, gy, gz, ax)
+        vid = vertex_ids.get(key)
+        if vid is not None:
+            return vid
+        step = [0, 0, 0]
+        step[ax] = 1
+        v0 = interp[gx, gy, gz]
+        v1 = interp[gx + step[0], gy + step[1], gz + step[2]]
+        if v1 == v0:
+            t = 0.5
+        else:
+            t = min(max((level - v0) / (v1 - v0), 0.0), 1.0)
+        pos = [axis[gx], axis[gy], axis[gz]]
+        lo = pos[ax]
+        hi = axis[(gx, gy, gz)[ax] + 1]
+        pos[ax] = lo + t * (hi - lo)
+        vid = len(vertices)
+        vertex_ids[key] = vid
+        vertices.append((pos[0], pos[1], pos[2]))
+        return vid
+
+    for ci, cj, ck in active:
+        c = int(cfg[ci, cj, ck])
+        tri_row = TRI_TABLE[c]
+        m = 0
+        while tri_row[m] != -1:
+            ids = (
+                edge_vertex(ci, cj, ck, tri_row[m]),
+                edge_vertex(ci, cj, ck, tri_row[m + 1]),
+                edge_vertex(ci, cj, ck, tri_row[m + 2]),
+            )
+            triangles.append(ids)
+            m += 3
+
+    verts = np.array(vertices, dtype=float).reshape(-1, 3)
+    tris = np.array(triangles, dtype=int).reshape(-1, 3)
+    return IsoSurfaceMesh(vertices=verts, triangles=tris, level=float(level))
+
+
+def reference_component_count(mesh: IsoSurfaceMesh) -> int:
+    """The vertex-sharing union-find the label propagation replaced."""
+    n = len(mesh.vertices)
+    if n == 0 or len(mesh.triangles) == 0:
+        return 0
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    used = set()
+    for a, b, c in mesh.triangles:
+        used.update((int(a), int(b), int(c)))
+        ra, rb, rc = find(int(a)), find(int(b)), find(int(c))
+        parent[rb] = ra
+        parent[find(rc)] = find(ra)
+    return len({find(v) for v in used})
+
+
+def synthetic_field(fn, resolution):
+    axis = np.linspace(-1.0, 1.0, resolution)
+    x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
+    return ScalarField3D(axis=axis, values=fn(x, y, z), name="synthetic")
+
+
+def clipped_sphere(x, y, z):
+    return np.where(x > 0.5, np.nan, (x**2 + y**2 + z**2) / 3.0)
+
+
+def two_wells(x, y, z):
+    d1 = (x - 0.5) ** 2 + y**2 + z**2
+    d2 = (x + 0.5) ** 2 + y**2 + z**2
+    return np.minimum(1.0, 0.5 - np.minimum(d1, d2) / 2.0).clip(0.0)
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_figure_files_match_recorded_hashes(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("make_figure_data", ROOT / "scripts" / "make_figure_data.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["make_figure_data.py", "--resolution", "41", "--out", str(tmp_path)])
+    script.main()
+    capsys.readouterr()
+    written = {p.relative_to(tmp_path).as_posix(): sha256(p) for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == FIGURE_HASHES
+
+
+def test_ply_and_field_csv_match_recorded_hashes(tmp_path, capsys):
+    code = cli.main([
+        "surface", "--field", "xz-a1", "--r", "0.1", "--s", "0.1", "--level", "0.1",
+        "--resolution", "21", "--format", "ply", "--field-csv", "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert {name: sha256(tmp_path / name) for name in PLY_AND_FIELD_HASHES} == PLY_AND_FIELD_HASHES
+
+
+@pytest.mark.parametrize(
+    "make_field, level",
+    [
+        (lambda: sample_bd_field("a1", 31), 0.05),
+        (lambda: sample_bd_field("sum", 31), 0.2),
+        (lambda: sample_xz_field(0.3, 0.3, "sum", 31), 0.1),
+        (lambda: sample_channel_field("GAD", 0.05, 31), 0.4),
+        (lambda: synthetic_field(clipped_sphere, 31), 0.2),
+        (lambda: sample_bd_field("a1", 31), 0.6),
+    ],
+    ids=["bd-a1", "bd-sum", "xz-sum", "channel-GAD", "nan-clipped-sphere", "above-maximum"],
+)
+def test_extract_isosurface_matches_loop(make_field, level):
+    field = make_field()
+    mesh = extract_isosurface(field, level)
+    ref = reference_extract_isosurface(field, level)
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert np.array_equal(mesh.triangles, ref.triangles)
+    assert mesh.is_empty == (level == 0.6)
+
+
+@pytest.mark.parametrize(
+    "make_mesh, count",
+    [
+        (lambda: extract_isosurface(synthetic_field(two_wells, 41), 0.45), 2),
+        (lambda: channel_surface("BF", 0.05, 0.4), 6),
+        (lambda: channel_surface("PF", 0.05, 0.4), 4),
+        (lambda: channel_surface("BPF", 0.05, 0.4), 6),
+        (lambda: channel_surface("GAD", 0.05, 0.4), 12),
+    ],
+    ids=["two-spheres", "BF", "PF", "BPF", "GAD"],
+)
+def test_component_count_matches_union_find(make_mesh, count):
+    mesh = make_mesh()
+    assert mesh_component_count(mesh) == reference_component_count(mesh) == count
+
+
+def test_component_count_of_empty_mesh():
+    empty = IsoSurfaceMesh(vertices=np.zeros((0, 3)), triangles=np.zeros((0, 3), dtype=int), level=0.1)
+    assert mesh_component_count(empty) == reference_component_count(empty) == 0
