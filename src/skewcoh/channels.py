@@ -20,7 +20,7 @@ import numpy as np
 
 from .bases import OrthonormalBasis
 from .coherence import coherence
-from .linalg import EYE2, SIGMA1, SIGMA2, SIGMA3, dagger, kron
+from .linalg import EYE2, SIGMA1, SIGMA2, SIGMA3, dagger
 from .states import BellDiagonalParams, DensityMatrix, bell_diagonal
 
 CHANNEL_KINDS = ("BF", "PF", "BPF", "GAD")
@@ -61,6 +61,13 @@ class KrausChannel:
         defect = float(np.abs(total - np.eye(ops[0].shape[0])).max())
         if defect > COMPLETENESS_TOL:
             raise ValueError(f"Kraus set is not complete: defect {defect:.3e}")
+        # The two-qubit products E_i (x) E_j, stacked in (i, j) order, built
+        # once here so that apply_product_channel is one contraction.
+        e = np.array(ops)
+        n, d = e.shape[:2]
+        products = (e[:, None, :, None, :, None] * e[None, :, None, :, None, :]).reshape(n * n, d * d, d * d)
+        products.flags.writeable = False
+        object.__setattr__(self, "_products", products)
 
 
 def make_channel(kind: str, p: float, gamma: float | None = None) -> KrausChannel:
@@ -109,12 +116,8 @@ def apply_product_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityM
     """Apply the two-qubit product channel built from a single-qubit Kraus set."""
     if rho.dim != 4:
         raise ValueError(f"expected a two-qubit state, got dimension {rho.dim}")
-    out = np.zeros((4, 4), dtype=complex)
-    for ei in channel.operators:
-        for ej in channel.operators:
-            k = kron(ei, ej)
-            out += k @ rho.matrix @ dagger(k)
-    return DensityMatrix(out)
+    k = channel._products
+    return DensityMatrix((k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0))
 
 
 def predicted_coefficients(kind: str, params: BellDiagonalParams, p: float) -> BellDiagonalParams:

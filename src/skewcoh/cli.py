@@ -115,8 +115,11 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         if args.basis == "a1":
             rows.append(("closed-form", xz_coherence_a1(params)))
             candidate = xz_coherence_a1_candidate(args.r, args.s, *args.c)
-            rows.append(("audited-candidate", candidate))
-            if not np.isfinite(candidate) or abs(candidate - numeric) > 1e-8:
+            if np.isfinite(candidate):
+                rows.append(("audited-candidate", candidate))
+            else:
+                _warn("audited closed-form candidate is undefined here: a block gap vanishes")
+            if abs(candidate - numeric) > 1e-8:
                 _warn(
                     "audited closed-form candidate deviates from the numeric value "
                     f"by {abs(candidate - numeric):.3e}"

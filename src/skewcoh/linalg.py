@@ -17,6 +17,7 @@ HERMITICITY_TOL = 1e-10
 # Eigenvalues in [PSD_FLOOR, 0) are rounding noise and clamp to zero;
 # anything below PSD_FLOOR is a genuinely non-PSD input.
 PSD_FLOOR = -1e-10
+_EPS = np.finfo(float).eps
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -44,15 +45,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_square(a), as_square(b))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-abs entry of a - a^dagger."""
-    a = as_square(a)
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-
-
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """The square complex matrix ``a``, checked Hermitian: the max-abs entry
+    of a - a^dagger must not exceed ``tol``."""
     a = as_square(a)
-    defect = hermiticity_defect(a)
+    defect = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: hermiticity defect {defect:.3e} > {tol:.1e}")
     return a
@@ -102,13 +99,11 @@ def sqrt_psd(a: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     zeroed as well: the square root amplifies noise of size eps to
     sqrt(eps), which would otherwise dominate downstream differences.
     """
-    dec = hermitian_eig(a)
-    w = dec.eigenvalues
+    w, v = np.linalg.eigh(require_hermitian(a))
     if w.size and w[0] < floor:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < {floor:.1e}")
-    noise = w.size * np.finfo(float).eps * max(float(w[-1]), 0.0) if w.size else 0.0
-    w = np.where(w <= noise, 0.0, w)
-    v = dec.eigenvectors
+    noise = w.size * _EPS * max(float(w[-1]), 0.0) if w.size else 0.0
+    w[w <= noise] = 0.0
     root = (v * np.sqrt(w)) @ v.conj().T
     # symmetrize away the last few ulps so downstream hermiticity checks pass
     return 0.5 * (root + root.conj().T)

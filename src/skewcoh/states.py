@@ -23,7 +23,10 @@ EYE4 = np.kron(EYE2, EYE2)
 EYE4.flags.writeable = False
 
 PAULI_PAIRS = (np.kron(SIGMA1, SIGMA1), np.kron(SIGMA2, SIGMA2), np.kron(SIGMA3, SIGMA3))
-for _m in PAULI_PAIRS:
+# The local observables sigma_i (x) I and I (x) sigma_i, i = 1, 2, 3.
+LOCAL_PAULIS_A = tuple(np.kron(sig, EYE2) for sig in (SIGMA1, SIGMA2, SIGMA3))
+LOCAL_PAULIS_B = tuple(np.kron(EYE2, sig) for sig in (SIGMA1, SIGMA2, SIGMA3))
+for _m in PAULI_PAIRS + LOCAL_PAULIS_A + LOCAL_PAULIS_B:
     _m.flags.writeable = False
 
 
@@ -160,7 +163,7 @@ def _bd_matrix(c1: float, c2: float, c3: float) -> np.ndarray:
 
 def _xz_matrix(r: float, s: float, c1: float, c2: float, c3: float) -> np.ndarray:
     m = 4.0 * _bd_matrix(c1, c2, c3)
-    m = m + r * np.kron(SIGMA3, EYE2) + s * np.kron(EYE2, SIGMA3)
+    m = m + r * LOCAL_PAULIS_A[2] + s * LOCAL_PAULIS_B[2]
     return 0.25 * m
 
 
@@ -221,6 +224,6 @@ def local_bloch_vectors(rho: DensityMatrix | np.ndarray) -> tuple[np.ndarray, np
     m = rho.matrix if isinstance(rho, DensityMatrix) else as_square(rho)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-    r = np.array([np.trace(m @ np.kron(sig, EYE2)).real for sig in (SIGMA1, SIGMA2, SIGMA3)])
-    s = np.array([np.trace(m @ np.kron(EYE2, sig)).real for sig in (SIGMA1, SIGMA2, SIGMA3)])
+    r = np.array([np.trace(m @ op).real for op in LOCAL_PAULIS_A])
+    s = np.array([np.trace(m @ op).real for op in LOCAL_PAULIS_B])
     return r, s

@@ -36,6 +36,18 @@ class TestCoherenceCommand:
         assert "audited-candidate" in out
         assert "deviates" in err
 
+    def test_undefined_candidate_not_written(self, capsys, tmp_path):
+        # r = s = 0 with c1 = c2 = 0: both block gaps vanish and the candidate is NaN.
+        target = tmp_path / "row.csv"
+        code, out, err = run(
+            capsys, "coherence", "--family", "xz",
+            "--r", "0", "--s", "0", "--c", "0,0,0.3", "--csv", str(target),
+        )
+        assert code == 0
+        assert "undefined" in err
+        assert "nan" not in out and "nan" not in target.read_text()
+        assert "closed-form" in target.read_text()
+
     def test_compare_measures(self, capsys):
         code, out, _ = run(capsys, "coherence", "--family", "werner", "--p", "0.3", "--compare")
         assert code == 0
