@@ -53,6 +53,13 @@ BD_FIELDS = ("bd-a1", "bd-a2", "bd-a3", "bd-sum")
 XZ_FIELDS = ("xz-a1", "xz-sum")
 CHANNEL_FIELDS = tuple(f"channel:{k}" for k in CHANNEL_KINDS)
 
+# The per-state flags each coherence family and surface field takes.  Each
+# is required there, and any other one given is an error, not ignored.
+_STATE_FLAGS = {
+    "bell": ("c",), "werner": ("p",), "isotropic": ("F",), "xz": ("r", "s", "c"),
+    **dict.fromkeys(BD_FIELDS, ()), **dict.fromkeys(XZ_FIELDS, ("r", "s")), **dict.fromkeys(CHANNEL_FIELDS, ("p",)),
+}
+
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
@@ -63,6 +70,14 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated values, got {text!r}")
     return tuple(float(p) for p in parts)
+
+
+def _check_flags(args: argparse.Namespace, takes: tuple[str, ...], what: str) -> None:
+    """Reject a missing flag of ``takes`` and any other per-state flag given."""
+    for flag in ("c", "p", "F", "r", "s"):
+        given = getattr(args, flag, None) is not None
+        if given != (flag in takes):
+            raise ValueError(f"--{flag} {'does not apply to' if given else 'is required for'} {what}")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -81,6 +96,9 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     if args.grid is not None:
         if args.family not in ("werner", "isotropic"):
             raise ValueError("--grid is only meaningful for the werner and isotropic families")
+        _check_flags(args, (), "--grid")
+        if args.compare or args.csv is not None:
+            raise ValueError(f"--{'compare' if args.compare else 'csv'} does not apply to --grid")
         xs = np.linspace(0.0, 1.0, args.grid)
         curve = sf.werner_curve(xs) if args.family == "werner" else sf.isotropic_curve(xs)
         out = _out_dir(args) / f"curve_{args.family}.csv"
@@ -88,44 +106,28 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         print(out)
         return EXIT_OK
 
+    _check_flags(args, _STATE_FLAGS[args.family], f"the {args.family} family")
     if args.family == "bell":
-        if args.c is None:
-            raise ValueError("--c is required for the bell family")
         params = BellDiagonalParams(*args.c)
-        rho = bell_diagonal(params)
-        closed = bd_coherence(params, args.basis)
-        rows = [("numeric", coherence(rho, basis)), ("closed-form", closed)]
+        rho, closed = bell_diagonal(params), bd_coherence(params, args.basis)
     elif args.family == "werner":
-        if args.p is None:
-            raise ValueError("--p is required for the werner family")
-        rho = werner(args.p)
-        rows = [("numeric", coherence(rho, basis)), ("closed-form", werner_coherence(args.p))]
+        rho, closed = werner(args.p), werner_coherence(args.p)
     elif args.family == "isotropic":
-        if args.F is None:
-            raise ValueError("--F is required for the isotropic family")
-        rho = isotropic(args.F)
-        rows = [("numeric", coherence(rho, basis)), ("closed-form", isotropic_coherence(args.F))]
-    elif args.family == "xz":
-        if args.c is None or args.r is None or args.s is None:
-            raise ValueError("--r, --s and --c are required for the xz family")
+        rho, closed = isotropic(args.F), isotropic_coherence(args.F)
+    else:
         params = XStateZParams(args.r, args.s, *args.c)
         rho = x_state_z(params)
-        numeric = coherence(rho, basis)
-        rows = [("numeric", numeric)]
-        if args.basis == "a1":
-            rows.append(("closed-form", xz_coherence_a1(params)))
-            candidate = xz_coherence_a1_candidate(args.r, args.s, *args.c)
-            if np.isfinite(candidate):
-                rows.append(("audited-candidate", candidate))
-            else:
-                _warn("audited closed-form candidate is undefined here: a block gap vanishes")
-            if abs(candidate - numeric) > 1e-8:
-                _warn(
-                    "audited closed-form candidate deviates from the numeric value "
-                    f"by {abs(candidate - numeric):.3e}"
-                )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {args.family!r}")
+        closed = xz_coherence_a1(params) if args.basis == "a1" else None
+    numeric = coherence(rho, basis)
+    rows = [("numeric", numeric)] + ([] if closed is None else [("closed-form", closed)])
+    if args.family == "xz" and args.basis == "a1":
+        candidate = xz_coherence_a1_candidate(args.r, args.s, *args.c)
+        if np.isfinite(candidate):
+            rows.append(("audited-candidate", candidate))
+        else:
+            _warn("audited closed-form candidate is undefined here: a block gap vanishes")
+        if abs(candidate - numeric) > 1e-8:
+            _warn(f"audited closed-form candidate deviates from the numeric value by {abs(candidate - numeric):.3e}")
 
     if args.csv is not None:
         lines = ["quantity,value"] + [f"{name},{_fmt(value)}" for name, value in rows]
@@ -153,23 +155,18 @@ def cmd_coherence(args: argparse.Namespace) -> int:
 
 def cmd_surface(args: argparse.Namespace) -> int:
     field_name = args.field
+    if field_name not in BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS:
+        raise ValueError(f"unknown field {field_name!r}; expected one of {BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS}")
+    _check_flags(args, _STATE_FLAGS[field_name], f"field {field_name}")
     slug = field_name.replace(":", "-")
     if field_name in BD_FIELDS:
         field = sf.sample_bd_field(field_name.removeprefix("bd-"), args.resolution)
     elif field_name in XZ_FIELDS:
-        if args.r is None or args.s is None:
-            raise ValueError("--r and --s are required for xz fields")
         field = sf.sample_xz_field(args.r, args.s, field_name.removeprefix("xz-"), args.resolution)
         slug += f"_r{args.r:g}_s{args.s:g}"
-    elif field_name in CHANNEL_FIELDS:
-        if args.p is None:
-            raise ValueError("--p is required for channel fields")
+    else:
         field = sf.sample_channel_field(field_name.removeprefix("channel:"), args.p, args.resolution)
         slug += f"_p{args.p:g}"
-    else:
-        raise ValueError(
-            f"unknown field {field_name!r}; expected one of {BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS}"
-        )
 
     mesh = sf.extract_isosurface(field, args.level)
     if field.physical_fraction() == 0.0:

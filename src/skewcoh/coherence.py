@@ -31,6 +31,7 @@ from .states import (
     BellDiagonalParams,
     DensityMatrix,
     XStateZParams,
+    _unit_interval,
     _xz_margins,
     tetrahedron_margins,
 )
@@ -40,11 +41,12 @@ from .states import (
 NEGATIVE_CLAMP = -1e-12
 
 
-def _clamp(x: float) -> float:
-    if x < 0.0:
-        if x < NEGATIVE_CLAMP:
-            raise ArithmeticError(f"coherence produced a significant negative value {x:.3e}")
-        return 0.0
+def _clamp(x):
+    """``x`` with negative rounding noise zeroed; a value below ``NEGATIVE_CLAMP`` is an error."""
+    if np.count_nonzero(x < 0.0):
+        if np.count_nonzero(x < NEGATIVE_CLAMP):
+            raise ArithmeticError(f"coherence produced a significant negative value {np.min(x):.3e}")
+        x = np.where(x < 0.0, 0.0, x)
     return x
 
 
@@ -59,7 +61,7 @@ def skew_information(rho: DensityMatrix, observable: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: state {rho.dim}, observable {k.shape[0]}")
     root = rho._root
     comm = root @ k - k @ root
-    return _clamp(float((-0.5 * np.trace(comm @ comm)).real))
+    return float(_clamp((-0.5 * np.trace(comm @ comm)).real))
 
 
 def _basis_or_computational(rho: DensityMatrix, basis: OrthonormalBasis | None) -> np.ndarray:
@@ -70,15 +72,20 @@ def _basis_or_computational(rho: DensityMatrix, basis: OrthonormalBasis | None) 
     return basis.vectors
 
 
+def _coherence_values(roots: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The numeric kernel: 1 - sum_k <b_k| R |b_k>^2 for every root R of a
+    stack (shape (..., d, d)), with the kets b_k the rows of ``vecs``."""
+    diag = np.einsum("ki,...ij,kj->...k", vecs.conj(), roots, vecs).real
+    return _clamp(1.0 - (diag**2).sum(axis=-1))
+
+
 def coherence(rho: DensityMatrix, basis: OrthonormalBasis | None = None) -> float:
     """Numeric coherence 1 - sum_k <b_k| sqrt(rho) |b_k>^2.
 
     ``basis=None`` means the computational basis.  This is the normative
     route every closed form is checked against.
     """
-    vecs = _basis_or_computational(rho, basis)
-    diag = np.einsum("ki,ij,kj->k", vecs.conj(), rho._root, vecs).real
-    return _clamp(float(1.0 - np.sum(diag**2)))
+    return float(_coherence_values(rho._root, _basis_or_computational(rho, basis)))
 
 
 def coherence_from_skew_information(rho: DensityMatrix, basis: OrthonormalBasis | None = None) -> float:
@@ -86,10 +93,7 @@ def coherence_from_skew_information(rho: DensityMatrix, basis: OrthonormalBasis 
     basis projectors; independent of :func:`coherence` and used to
     cross-check it."""
     vecs = _basis_or_computational(rho, basis)
-    total = 0.0
-    for v in vecs:
-        total += skew_information(rho, np.outer(v, v.conj()))
-    return _clamp(total)
+    return float(_clamp(sum(skew_information(rho, np.outer(v, v.conj())) for v in vecs)))
 
 
 def coherence_bound(dim: int) -> float:
@@ -145,14 +149,6 @@ def bd_coherence(params: BellDiagonalParams, label: str) -> float:
 def bd_coherence_sum(params: BellDiagonalParams) -> float:
     """Coherence summed over the three reference bases."""
     return float(sum(_bd_values(*params.triple, lab) for lab in _BD_PAIRS))
-
-
-def _unit_interval(name: str, x) -> np.ndarray:
-    """``x`` as a float array, rejected unless every element is in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise ValueError(f"{name}={x} outside [0, 1]")
-    return x
 
 
 def werner_coherence(p):
@@ -218,12 +214,14 @@ def xz_coherence_sum(params: XStateZParams) -> float:
 def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
     """Vectorized coherence of z-polarized X states over coefficient grids.
 
-    ``measure`` is 'a1' or 'sum'.  r and s are fixed scalars; c1, c2, c3
-    broadcast.  Unphysical points (negative block eigenvalues) evaluate to
-    NaN.
+    ``measure`` is 'a1' or 'sum'.  r and s are fixed finite scalars; c1,
+    c2, c3 broadcast.  Unphysical points (negative block eigenvalues)
+    evaluate to NaN.
     """
     if measure not in ("a1", "sum"):
         raise ValueError(f"unknown measure {measure!r}; expected 'a1' or 'sum'")
+    if not (np.isfinite(r) and np.isfinite(s)):
+        raise ValueError(f"r and s must be finite, got r={r} s={s}")
     return _xz_values(r, s, np.asarray(c1, dtype=float), np.asarray(c2, dtype=float), np.asarray(c3, dtype=float), measure)
 
 

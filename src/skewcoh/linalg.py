@@ -46,10 +46,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """The square complex matrix ``a``, checked Hermitian: the max-abs entry
-    of a - a^dagger must not exceed ``tol``."""
-    a = as_square(a)
-    defect = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    """The square complex matrix ``a``, or stack of them (shape (..., d, d)),
+    checked Hermitian: no entry of a - a^dagger may exceed ``tol`` in size."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: hermiticity defect {defect:.3e} > {tol:.1e}")
     return a
@@ -66,12 +68,9 @@ class HermitianEigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def reconstruction_error(self, a: np.ndarray) -> float:
-        return float(np.abs(self.reconstruct() - a).max())
+        v = self.eigenvectors
+        return float(np.abs((v * self.eigenvalues) @ v.conj().T - a).max())
 
     def unitarity_defect(self) -> float:
         v = self.eigenvectors
@@ -84,13 +83,13 @@ def hermitian_eig(a: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEigen
     Backed by LAPACK via ``numpy.linalg.eigh``; a failure to converge
     surfaces as ``numpy.linalg.LinAlgError``.
     """
-    a = require_hermitian(a, tol)
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(require_hermitian(as_square(a), tol))
     return HermitianEigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def sqrt_psd(a: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
-    """Hermitian PSD square root R with R @ R == a.
+    """Hermitian PSD square root R with R @ R == a, for one matrix or a
+    stack of them (shape (..., d, d)), from one stacked eigensolve.
 
     Eigenvalues in [floor, 0) are clamped to zero before the root;
     anything below ``floor`` raises, because the input is then not a
@@ -98,12 +97,14 @@ def sqrt_psd(a: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     eigenvalues inside the eigensolver's own rounding bound of zero are
     zeroed as well: the square root amplifies noise of size eps to
     sqrt(eps), which would otherwise dominate downstream differences.
+    Both rules apply to each matrix of a stack on its own spectrum.
     """
     w, v = np.linalg.eigh(require_hermitian(a))
-    if w.size and w[0] < floor:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < {floor:.1e}")
-    noise = w.size * _EPS * max(float(w[-1]), 0.0) if w.size else 0.0
-    w[w <= noise] = 0.0
-    root = (v * np.sqrt(w)) @ v.conj().T
+    if w.size:
+        if np.count_nonzero(w[..., 0] < floor):
+            raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e} < {floor:.1e}")
+        noise = w.shape[-1] * _EPS * np.maximum(w[..., -1:], 0.0)
+        w[w <= noise] = 0.0
+    root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     # symmetrize away the last few ulps so downstream hermiticity checks pass
-    return 0.5 * (root + root.conj().T)
+    return 0.5 * (root + root.conj().swapaxes(-1, -2))

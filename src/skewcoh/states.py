@@ -46,13 +46,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = as_square(self.matrix).copy()
-        tr = np.trace(m)
-        if abs(tr - 1.0) > STATE_TOL:
-            raise ValueError(f"not a state: trace {tr:.12g} != 1")
-        try:
-            root = sqrt_psd(m, -STATE_TOL)
-        except ValueError as exc:
-            raise ValueError(f"not a state: {exc}") from None
+        root = _state_roots(m)
         m.flags.writeable = False
         root.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -64,6 +58,20 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
+
+
+def _state_roots(m: np.ndarray) -> np.ndarray:
+    """The PSD square roots of one state or a stack (shape (..., d, d)),
+    validated: unit trace to ``STATE_TOL``, then hermiticity and eigenvalues
+    down to ``-STATE_TOL`` from the one eigensolve that gives the roots."""
+    tr = m.trace(axis1=-2, axis2=-1)
+    off = abs(tr - 1.0) > STATE_TOL
+    if np.count_nonzero(off):
+        raise ValueError(f"not a state: trace {np.extract(off, tr)[0]:.12g} != 1")
+    try:
+        return sqrt_psd(m, -STATE_TOL)
+    except ValueError as exc:
+        raise ValueError(f"not a state: {exc}") from None
 
 
 def tetrahedron_margins(c1: float, c2: float, c3: float) -> tuple[float, float, float, float]:
@@ -96,6 +104,18 @@ def _xz_margins(r, s, c1, c2, c3):
     return (low - inner, low + inner, high + outer, high - outer)
 
 
+def _require_physical(params: dict[str, float], margins, kind: str) -> None:
+    """Reject parameters (name -> value, in margin argument order) outside
+    [-1, 1] or with a margin below -TETRA_TOL."""
+    for name, v in params.items():
+        if not -1.0 <= v <= 1.0:
+            raise ValueError(f"{name}={v} outside [-1, 1]")
+    worst = min(margins(*params.values()))
+    if worst < -TETRA_TOL:
+        point = f"({', '.join(params)})=({', '.join(map(str, params.values()))})"
+        raise ValueError(f"{point} is unphysical: {kind} margin {worst:.3e}")
+
+
 @dataclass(frozen=True)
 class BellDiagonalParams:
     """Correlation coefficients (c1, c2, c3) of a Bell-diagonal state.
@@ -109,16 +129,7 @@ class BellDiagonalParams:
     c3: float
 
     def __post_init__(self) -> None:
-        for name in ("c1", "c2", "c3"):
-            v = getattr(self, name)
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [-1, 1]")
-        worst = min(tetrahedron_margins(self.c1, self.c2, self.c3))
-        if worst < -TETRA_TOL:
-            raise ValueError(
-                f"(c1, c2, c3)=({self.c1}, {self.c2}, {self.c3}) is unphysical: "
-                f"tetrahedron margin {worst:.3e}"
-            )
+        _require_physical(vars(self), tetrahedron_margins, "tetrahedron")
 
     @property
     def triple(self) -> tuple[float, float, float]:
@@ -142,26 +153,20 @@ class XStateZParams:
     c3: float
 
     def __post_init__(self) -> None:
-        for name in ("r", "s", "c1", "c2", "c3"):
-            v = getattr(self, name)
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [-1, 1]")
-        worst = min(_xz_margins(self.r, self.s, self.c1, self.c2, self.c3))
-        if worst < -TETRA_TOL:
-            raise ValueError(
-                f"(r, s, c)=({self.r}, {self.s}, {self.c1}, {self.c2}, {self.c3}) "
-                f"is unphysical: block margin {worst:.3e}"
-            )
+        _require_physical(vars(self), _xz_margins, "block")
 
 
-def _bd_matrix(c1: float, c2: float, c3: float) -> np.ndarray:
-    m = EYE4.copy()
+def _bd_matrix(c1, c2, c3) -> np.ndarray:
+    """(1/4)(I + sum_i c_i sigma_i (x) sigma_i).  Coefficients broadcast
+    against the matrix axes: arrays of shape S + (1, 1) give a stack of
+    shape S + (4, 4)."""
+    m = EYE4
     for c, pp in zip((c1, c2, c3), PAULI_PAIRS):
         m = m + c * pp
     return 0.25 * m
 
 
-def _xz_matrix(r: float, s: float, c1: float, c2: float, c3: float) -> np.ndarray:
+def _xz_matrix(r, s, c1, c2, c3) -> np.ndarray:
     m = 4.0 * _bd_matrix(c1, c2, c3)
     m = m + r * LOCAL_PAULIS_A[2] + s * LOCAL_PAULIS_B[2]
     return 0.25 * m
@@ -177,15 +182,30 @@ def x_state_z(params: XStateZParams) -> DensityMatrix:
     return DensityMatrix(_xz_matrix(params.r, params.s, params.c1, params.c2, params.c3))
 
 
+def _unit_interval(name: str, x) -> np.ndarray:
+    """``x`` as a float array, rejected unless every element is in [0, 1]."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError(f"{name}={x} outside [0, 1]")
+    return x
+
+
+def _werner_coefficients(p):
+    c = 0.75 * _unit_interval("p", p) - 1.0
+    return c, c, c
+
+
+def _isotropic_coefficients(fidelity):
+    u = (4.0 * _unit_interval("F", fidelity) - 1.0) / 3.0
+    return u, -u, u
+
+
 def werner(p: float) -> DensityMatrix:
     """One-parameter Werner slice: all three coefficients equal 3p/4 - 1.
 
     p = 0 is the singlet, p = 1 the most mixed member of the family.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    c = 0.75 * p - 1.0
-    return bell_diagonal(BellDiagonalParams(c, c, c))
+    return bell_diagonal(BellDiagonalParams(*_werner_coefficients(p)))
 
 
 def isotropic(fidelity: float) -> DensityMatrix:
@@ -194,10 +214,14 @@ def isotropic(fidelity: float) -> DensityMatrix:
     F is the fidelity with the maximally entangled target; F = 1/4 gives
     the maximally mixed state.
     """
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"F={fidelity} outside [0, 1]")
-    u = (4.0 * fidelity - 1.0) / 3.0
-    return bell_diagonal(BellDiagonalParams(u, -u, u))
+    return bell_diagonal(BellDiagonalParams(*_isotropic_coefficients(fidelity)))
+
+
+def _two_qubit(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    m = rho.matrix if isinstance(rho, DensityMatrix) else as_square(rho)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
+    return m
 
 
 def correlation_coefficients(rho: DensityMatrix | np.ndarray) -> tuple[float, float, float]:
@@ -207,9 +231,7 @@ def correlation_coefficients(rho: DensityMatrix | np.ndarray) -> tuple[float, fl
     are real for Hermitian input and the residual imaginary part is
     checked against STATE_TOL.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else as_square(rho)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
+    m = _two_qubit(rho)
     out = []
     for pp in PAULI_PAIRS:
         t = np.trace(m @ pp)
@@ -221,9 +243,5 @@ def correlation_coefficients(rho: DensityMatrix | np.ndarray) -> tuple[float, fl
 
 def local_bloch_vectors(rho: DensityMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Single-qubit Bloch vectors (r, s) with r_i = tr(rho sigma_i (x) I)."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else as_square(rho)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-    r = np.array([np.trace(m @ op).real for op in LOCAL_PAULIS_A])
-    s = np.array([np.trace(m @ op).real for op in LOCAL_PAULIS_B])
-    return r, s
+    m = _two_qubit(rho)
+    return tuple(np.array([np.trace(m @ op).real for op in ops]) for ops in (LOCAL_PAULIS_A, LOCAL_PAULIS_B))

@@ -28,8 +28,8 @@ from .coherence import (
 BD_MEASURES = ("a1", "a2", "a3", "sum")
 # Single-basis fields are capped at 1/2, summed fields at 3/2.
 FIELD_CAP = 1.5 + 1e-9
-# A field holds several float arrays of resolution^3 points; 301^3 is
-# about 220 MB each.
+# A field and its extraction hold several arrays of resolution^3 points;
+# 301^3 floats are about 220 MB each.
 MAX_RESOLUTION = 301
 
 
@@ -106,14 +106,22 @@ class Curve1D:
         object.__setattr__(self, "values", values)
 
 
-def _grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+_SLAB_ROWS = 8  # c1 rows per kernel call in _sample
+
+
+def _sample(kernel, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid axis and ``kernel(c1, c2, c3)`` on it, a slab of c1 rows at a
+    time: the elementwise kernels' values bit for bit, but no 8 MB temporaries
+    at 101^3 whose placement by the allocator would decide the peak memory."""
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
-    # Sparse (n,1,1), (1,n,1), (1,1,n) coordinates: the field kernels are
-    # elementwise and broadcast them, so no full coordinate grid is built.
+    # Sparse (n,1,1), (1,n,1), (1,1,n) coordinates: no full coordinate grid.
     c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
-    return axis, c1, c2, c3
+    values = np.empty((resolution,) * 3)
+    for i in range(0, resolution, _SLAB_ROWS):
+        values[i : i + _SLAB_ROWS] = kernel(c1[i : i + _SLAB_ROWS], c2, c3)
+    return axis, values
 
 
 def sample_bd_field(measure: str = "a1", resolution: int = 101) -> ScalarField3D:
@@ -124,11 +132,10 @@ def sample_bd_field(measure: str = "a1", resolution: int = 101) -> ScalarField3D
     """
     if measure not in BD_MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {BD_MEASURES}")
-    axis, c1, c2, c3 = _grid(resolution)
     if measure == "sum":
-        values = sum(bd_coherence_values(c1, c2, c3, lab) for lab in ("a1", "a2", "a3"))
+        axis, values = _sample(lambda *c: sum(bd_coherence_values(*c, lab) for lab in ("a1", "a2", "a3")), resolution)
     else:
-        values = bd_coherence_values(c1, c2, c3, measure)
+        axis, values = _sample(lambda *c: bd_coherence_values(*c, measure), resolution)
     return ScalarField3D(axis=axis, values=values, name=f"bd-{measure}")
 
 
@@ -138,8 +145,7 @@ def sample_xz_field(r: float, s: float, measure: str = "a1", resolution: int = 1
     ``measure`` is 'a1' or 'sum'.  The physical region shrinks as |r|, |s|
     grow; non-physical points carry NaN.
     """
-    axis, c1, c2, c3 = _grid(resolution)
-    values = xz_coherence_values(r, s, c1, c2, c3, measure)
+    axis, values = _sample(lambda *c: xz_coherence_values(r, s, *c, measure), resolution)
     return ScalarField3D(axis=axis, values=values, name=f"xz-{measure}-r{r:g}-s{s:g}")
 
 
@@ -153,9 +159,7 @@ def sample_channel_field(kind: str, p: float, resolution: int = 101) -> ScalarFi
     of the map into the closed form), and reduces to the plain field at
     p = 0.
     """
-    axis, c1, c2, c3 = _grid(resolution)
-    moved = predicted_coefficient_grid(kind, c1, c2, c3, p)
-    values = bd_coherence_values(*moved, "a1")
+    axis, values = _sample(lambda *c: bd_coherence_values(*predicted_coefficient_grid(kind, *c, p), "a1"), resolution)
     return ScalarField3D(axis=axis, values=values, name=f"channel-{kind}-p{p:g}")
 
 

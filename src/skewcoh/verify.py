@@ -16,10 +16,10 @@ import numpy as np
 
 from . import channels as ch
 from . import surfaces as sf
-from .bases import amub_basis, amub_from_mubs, qubit_amubs, qubit_mubs, represent_in_basis, verify_amub, verify_mub
+from .bases import AMUB_LABELS, amub_basis, amub_from_mubs, qubit_mubs, represent_in_basis, verify_amub, verify_mub
 from .coherence import (
-    bd_coherence,
-    bd_coherence_sum,
+    _coherence_values,
+    _xz_values,
     bd_coherence_values,
     coherence,
     coherence_bound,
@@ -28,7 +28,6 @@ from .coherence import (
     werner_coherence,
     xz_coherence_a1,
     xz_coherence_a1_candidate,
-    xz_coherence_sum,
     xz_coherence_sum_candidate,
 )
 from .linalg import hermitian_eig, sqrt_psd
@@ -36,13 +35,16 @@ from .states import (
     BellDiagonalParams,
     DensityMatrix,
     XStateZParams,
+    _bd_matrix,
+    _isotropic_coefficients,
+    _state_roots,
+    _werner_coefficients,
     _xz_margins,
+    _xz_matrix,
     bell_diagonal,
     correlation_coefficients,
-    isotropic,
     local_bloch_vectors,
     tetrahedron_margins,
-    werner,
     x_state_z,
 )
 
@@ -85,25 +87,26 @@ class SuiteResult:
 # -- seeded sampling helpers ---------------------------------------------------
 
 
-def random_bell_params(rng: np.random.Generator, n: int) -> list[BellDiagonalParams]:
-    """Uniform draws from the physical tetrahedron, by rejection from the cube."""
-    out: list[BellDiagonalParams] = []
-    while len(out) < n:
-        c = rng.uniform(-1.0, 1.0, size=3)
-        if min(tetrahedron_margins(*c)) >= 0.0:
-            out.append(BellDiagonalParams(*c))
-    return out
+def _draw_physical(rng: np.random.Generator, n: int, width: int, margins) -> np.ndarray:
+    """n rows drawn uniformly from [-1, 1]^width and kept when every margin
+    is >= 0, by rejection.  Each block draws as many rows as are still
+    needed, so the generator advances exactly as a one-draw-at-a-time loop
+    that stops at the n-th accepted draw."""
+    kept = np.empty((0, width))
+    while len(kept) < n:
+        draws = rng.uniform(-1.0, 1.0, size=(n - len(kept), width))
+        kept = np.concatenate([kept, draws[np.all(np.array(margins(*draws.T)) >= 0.0, axis=0)]])
+    return kept
 
 
-def random_xz_params(rng: np.random.Generator, n: int) -> list[XStateZParams]:
-    """Uniform draws of (r, s, c) kept when all four block margins are >= 0."""
-    out: list[XStateZParams] = []
-    while len(out) < n:
-        r, s = rng.uniform(-1.0, 1.0, size=2)
-        c1, c2, c3 = rng.uniform(-1.0, 1.0, size=3)
-        if min(_xz_margins(r, s, c1, c2, c3)) >= 0.0:
-            out.append(XStateZParams(r, s, c1, c2, c3))
-    return out
+def random_bell_params(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 3) rows (c1, c2, c3) drawn uniformly from the physical tetrahedron."""
+    return _draw_physical(rng, n, 3, tetrahedron_margins)
+
+
+def random_xz_params(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 5) rows (r, s, c1, c2, c3) drawn uniformly from the physical X states."""
+    return _draw_physical(rng, n, 5, _xz_margins)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -210,8 +213,8 @@ def suite_bases(rng: np.random.Generator, samples: int | None = None) -> SuiteRe
 
     n = samples or 200
     worst_spec = worst_coh = 0.0
-    for params in random_bell_params(rng, n // 2):
-        rho = bell_diagonal(params)
+    for c in random_bell_params(rng, n // 2):
+        rho = bell_diagonal(BellDiagonalParams(*c))
         for lab in ("a1", "a2", "a3"):
             basis = amub_basis(lab)
             rotated = represent_in_basis(rho, basis)
@@ -224,30 +227,32 @@ def suite_bases(rng: np.random.Generator, samples: int | None = None) -> SuiteRe
     res.dev("coherence via rotated state equals coherence in basis", worst_coh, 1e-10)
 
     worst_rt = 0.0
-    for params in random_bell_params(rng, samples or 1000):
-        got = correlation_coefficients(bell_diagonal(params))
-        worst_rt = max(worst_rt, max(abs(g - w) for g, w in zip(got, params.triple)))
+    for c in random_bell_params(rng, samples or 1000):
+        got = correlation_coefficients(bell_diagonal(BellDiagonalParams(*c)))
+        worst_rt = max(worst_rt, max(abs(g - w) for g, w in zip(got, c)))
     res.dev("correlation-coefficient round trip", worst_rt, 1e-12)
     return res
+
+
+def _worst(deviations: np.ndarray) -> float:
+    """The largest absolute deviation; NaN if any deviation is NaN."""
+    return float(np.abs(deviations).max())
+
+
+def _numeric(roots: np.ndarray) -> list[np.ndarray]:
+    """Numeric coherence of every root of a stack in a1, a2 and a3."""
+    return [_coherence_values(roots, amub_basis(lab).vectors) for lab in AMUB_LABELS]
 
 
 def suite_closed_forms(rng: np.random.Generator, samples: int | None = None) -> SuiteResult:
     n = samples or 1000
     res = SuiteResult("closed-forms")
-    params = random_bell_params(rng, n)
-    worst = {lab: 0.0 for lab in ("a1", "a2", "a3")}
-    worst_sum = 0.0
-    for prm in params:
-        rho = bell_diagonal(prm)
-        total = 0.0
-        for lab in ("a1", "a2", "a3"):
-            numeric = coherence(rho, amub_basis(lab))
-            total += numeric
-            worst[lab] = max(worst[lab], abs(bd_coherence(prm, lab) - numeric))
-        worst_sum = max(worst_sum, abs(bd_coherence_sum(prm) - total))
-    for lab in ("a1", "a2", "a3"):
-        res.dev(f"|closed - numeric| in {lab} over {n} states", worst[lab], 1e-9)
-    res.dev("three-basis sum vs numeric sum", worst_sum, 1e-9)
+    c = random_bell_params(rng, n).T
+    numeric = _numeric(_state_roots(_bd_matrix(*c[..., None, None])))
+    closed = [bd_coherence_values(*c, lab) for lab in AMUB_LABELS]
+    for lab, want, got in zip(AMUB_LABELS, numeric, closed):
+        res.dev(f"|closed - numeric| in {lab} over {n} states", _worst(got - want), 1e-9)
+    res.dev("three-basis sum vs numeric sum", _worst(sum(closed) - sum(numeric)), 1e-9)
     return res
 
 
@@ -255,11 +260,8 @@ def suite_werner(rng: np.random.Generator, samples: int | None = None) -> SuiteR
     res = SuiteResult("werner")
     grid = np.linspace(0.0, 1.0, 101)
     closed = werner_coherence(grid)
-    worst = 0.0
-    for p, cval in zip(grid, closed):
-        rho = werner(p)
-        for lab in ("a1", "a2", "a3"):
-            worst = max(worst, abs(cval - coherence(rho, amub_basis(lab))))
+    roots = _state_roots(_bd_matrix(*_werner_coefficients(grid[:, None, None])))
+    worst = max(_worst(closed - numeric) for numeric in _numeric(roots))
     res.dev("|closed - numeric| on 101-point grid, three bases", worst, 1e-9)
     res.dev("endpoint p=0 vs 1/2", abs(closed[0] - 0.5), 1e-12)
     res.dev("endpoint p=1 vs (5 - sqrt(21))/16", abs(closed[-1] - (5.0 - np.sqrt(21.0)) / 16.0), 1e-12)
@@ -271,11 +273,8 @@ def suite_isotropic(rng: np.random.Generator, samples: int | None = None) -> Sui
     res = SuiteResult("isotropic")
     grid = np.linspace(0.0, 1.0, 101)
     closed = isotropic_coherence(grid)
-    worst = 0.0
-    for f, cval in zip(grid, closed):
-        rho = isotropic(f)
-        for lab in ("a1", "a2", "a3"):
-            worst = max(worst, abs(cval - coherence(rho, amub_basis(lab))))
+    roots = _state_roots(_bd_matrix(*_isotropic_coefficients(grid[:, None, None])))
+    worst = max(_worst(closed - numeric) for numeric in _numeric(roots))
     res.dev("|closed - numeric| on 101-point grid, three bases", worst, 1e-9)
     res.dev("value at F=1/4 vs 0", abs(isotropic_coherence(0.25)), 1e-12)
     res.dev("value at F=0 vs 1/6", abs(closed[0] - 1.0 / 6.0), 1e-12)
@@ -289,59 +288,39 @@ def suite_isotropic(rng: np.random.Generator, samples: int | None = None) -> Sui
 def suite_xz(rng: np.random.Generator, samples: int | None = None) -> SuiteResult:
     n = samples or 500
     res = SuiteResult("xz-states")
-    a1 = amub_basis("a1")
-    amubs = qubit_amubs().bases
 
-    worst_closed = worst_sum = 0.0
+    params = random_xz_params(rng, n)
+    numeric = _numeric(_state_roots(_xz_matrix(*params.T[..., None, None])))
+    numeric_sum = numeric[0] + numeric[1] + numeric[2]
+    closed_dev = _worst(_xz_values(*params.T, "a1") - numeric[0])
+    res.dev(f"block closed form vs numeric over {n} states", closed_dev, 1e-9)
+    res.dev("trace identity for the basis sum vs numeric", _worst(_xz_values(*params.T, "sum") - numeric_sum), 1e-9)
+
+    # The audited candidates are reported draw by draw, a1 before sum.
+    audits = (("a1", xz_coherence_a1_candidate, numeric[0]), ("sum", xz_coherence_sum_candidate, numeric_sum))
     audit_count = 0
-    for prm in random_xz_params(rng, n):
-        rho = x_state_z(prm)
-        numeric = coherence(rho, a1)
-        worst_closed = max(worst_closed, abs(xz_coherence_a1(prm) - numeric))
-        numeric_sum = sum(coherence(rho, b) for b in amubs)
-        worst_sum = max(worst_sum, abs(xz_coherence_sum(prm) - numeric_sum))
-        candidate = xz_coherence_a1_candidate(prm.r, prm.s, prm.c1, prm.c2, prm.c3)
-        dev = abs(candidate - numeric)
-        if not np.isfinite(candidate) or dev > 1e-8:
-            audit_count += 1
-            res.warnings.append(
-                "audited a1 closed-form candidate deviates: "
-                f"r={prm.r:.6f} s={prm.s:.6f} c=({prm.c1:.6f},{prm.c2:.6f},{prm.c3:.6f}) "
-                f"candidate={candidate:.9f} numeric={numeric:.9f} |diff|={dev:.3e}"
-            )
-        sum_candidate = xz_coherence_sum_candidate(prm.r, prm.s, prm.c1, prm.c2, prm.c3)
-        sum_dev = abs(sum_candidate - numeric_sum)
-        if sum_dev > 1e-8:
-            audit_count += 1
-            res.warnings.append(
-                "audited sum closed-form candidate deviates: "
-                f"r={prm.r:.6f} s={prm.s:.6f} c=({prm.c1:.6f},{prm.c2:.6f},{prm.c3:.6f}) "
-                f"candidate={sum_candidate:.9f} numeric={numeric_sum:.9f} |diff|={sum_dev:.3e}"
-            )
-    res.dev(f"block closed form vs numeric over {n} states", worst_closed, 1e-9)
-    res.dev("trace identity for the basis sum vs numeric", worst_sum, 1e-9)
+    for i, prm in enumerate(params):
+        where = "r={:.6f} s={:.6f} c=({:.6f},{:.6f},{:.6f})".format(*prm)
+        for label, audited, values in audits:
+            candidate = audited(*prm)
+            dev = abs(candidate - values[i])
+            if not np.isfinite(candidate) or dev > 1e-8:
+                audit_count += 1
+                res.warnings.append(
+                    f"audited {label} closed-form candidate deviates: {where} "
+                    f"candidate={candidate:.9f} numeric={values[i]:.9f} |diff|={dev:.3e}"
+                )
 
-    worst_red = 0.0
-    for prm in random_bell_params(rng, max(n // 2, 100)):
-        flat = XStateZParams(0.0, 0.0, *prm.triple)
-        worst_red = max(worst_red, abs(xz_coherence_a1(flat) - bd_coherence(prm, "a1")))
-    res.dev("r=s=0 reduction equals Bell-diagonal closed form", worst_red, 1e-10)
+    c1, c2, c3 = random_bell_params(rng, max(n // 2, 100)).T
+    reduction = _xz_values(0.0, 0.0, c1, c2, c3, "a1") - bd_coherence_values(c1, c2, c3, "a1")
+    res.dev("r=s=0 reduction equals Bell-diagonal closed form", _worst(reduction), 1e-10)
 
     # the {|01>, |10>} block gap vanishes here: a removable singularity of
     # the block square roots written as a division by the gap
     singular = XStateZParams(0.2, 0.2, 0.4, -0.4, 0.1)
-    rho = x_state_z(singular)
-    res.dev(
-        "vanishing-gap point equals numeric",
-        abs(xz_coherence_a1(singular) - coherence(rho, a1)),
-        1e-12,
-    )
-    res.flag(
-        "audited closed-form candidates",
-        True,
-        f"{audit_count} deviations > 1e-8 reported",
-        "reported, not asserted",
-    )
+    gap_dev = abs(xz_coherence_a1(singular) - coherence(x_state_z(singular), amub_basis("a1")))
+    res.dev("vanishing-gap point equals numeric", gap_dev, 1e-12)
+    res.flag("audited closed-form candidates", True, f"{audit_count} deviations > 1e-8 reported", "reported, not asserted")
     return res
 
 
@@ -349,7 +328,8 @@ def suite_coefficient_table(rng: np.random.Generator, samples: int | None = None
     n = samples or 200
     res = SuiteResult("coefficient-table")
     worst_map = worst_bloch = 0.0
-    for prm in random_bell_params(rng, n):
+    for c in random_bell_params(rng, n):
+        prm = BellDiagonalParams(*c)
         p = float(rng.uniform(0.0, 1.0))
         for kind in ch.CHANNEL_KINDS:
             channel = ch.channel_as_kraus(kind, p)
@@ -498,12 +478,11 @@ def suite_surfaces(rng: np.random.Generator, samples: int | None = None) -> Suit
     res.flag("level 0.6 mesh empty (above the 1/2 cap)", mesh_06.is_empty, f"{len(mesh_06.triangles)} triangles", "== 0")
 
     for mesh, level in ((mesh_005, 0.05), (mesh_02, 0.2)):
-        vals = bd_coherence_values(mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2], "a1")
+        vals = bd_coherence_values(*mesh.vertices.T, "a1")
         finite = np.isfinite(vals)
         worst = float(np.abs(vals[finite] - level).max()) if finite.any() else 0.0
         res.dev(f"vertex re-evaluation accuracy at level {level}", worst, 0.02)
-    vals = bd_coherence_values(mesh_02.vertices[:, 0], mesh_02.vertices[:, 1], mesh_02.vertices[:, 2], "a1")
-    finite = np.isfinite(vals)
+    # vals and finite are those of the level-0.2 mesh
     res.flag(
         "nesting: level-0.2 mesh lies inside {value >= 0.05}",
         bool((vals[finite] >= 0.05 - 0.02).all()),
@@ -522,13 +501,11 @@ def suite_surfaces(rng: np.random.Generator, samples: int | None = None) -> Suit
     xz_flat = sf.sample_xz_field(0.0, 0.0, "a1", 41)
     bd_small = sf.sample_bd_field("a1", 41)
     both = np.isfinite(xz_flat.values) & np.isfinite(bd_small.values)
+    diff = float(np.abs(xz_flat.values[both] - bd_small.values[both]).max())
     res.flag(
         "flat X-state field matches Bell-diagonal field",
-        bool(
-            (np.isfinite(xz_flat.values) == np.isfinite(bd_small.values)).all()
-            and np.abs(xz_flat.values[both] - bd_small.values[both]).max() <= 1e-10
-        ),
-        f"max |diff| {float(np.abs(xz_flat.values[both] - bd_small.values[both]).max()):.3e}",
+        bool((np.isfinite(xz_flat.values) == np.isfinite(bd_small.values)).all() and diff <= 1e-10),
+        f"max |diff| {diff:.3e}",
         "<= 1e-10 with identical masks",
     )
 
@@ -562,7 +539,11 @@ def run_suites(
     seed: int = DEFAULT_SEED,
     samples: int | None = None,
 ) -> list[SuiteResult]:
-    """Run the selected suites (all by default) on a fresh seeded generator."""
+    """Run the selected suites (all by default) on a fresh seeded generator.
+
+    ``samples`` (>= 1) overrides every suite's sample counts."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     selected = list(ALL_SUITES) if names is None else names
     unknown = [n for n in selected if n not in ALL_SUITES]
     if unknown:

@@ -72,12 +72,37 @@ class TestCoherenceCommand:
 
     def test_curve_grid(self, capsys, tmp_path):
         code, out, _ = run(
-            capsys, "coherence", "--family", "werner", "--p", "0", "--grid", "11", "--out", str(tmp_path)
+            capsys, "coherence", "--family", "werner", "--grid", "11", "--out", str(tmp_path)
         )
         assert code == 0
         lines = (tmp_path / "curve_werner.csv").read_text().splitlines()
         assert lines[0] == "p,C"
         assert len(lines) == 12
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--family", "werner", "--p", "0.5", "--r", "0.3", "--F", "0.9"], "--F"),
+            (["--family", "bell", "--c", "0.1,0.1,0.1", "--p", "nan"], "--p"),
+            (["--family", "isotropic", "--F", "0.5", "--s", "0.1"], "--s"),
+            (["--family", "xz", "--r", "0.1", "--s", "0.1"], "--c"),
+        ],
+    )
+    def test_inapplicable_or_missing_flag_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, "coherence", *argv)
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("extra", [["--p", "0"], ["--F", "0.5"], ["--compare"], ["--csv", "row.csv"]])
+    def test_grid_rejects_per_state_flags(self, capsys, tmp_path, extra):
+        code, out, err = run(
+            capsys, "coherence", "--family", "werner", "--grid", "11", "--out", str(tmp_path), *extra
+        )
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert extra[0] in err
+        assert not any(tmp_path.iterdir())
 
     def test_missing_parameter_exits_2(self, capsys):
         code, _, err = run(capsys, "coherence", "--family", "werner")
@@ -146,6 +171,30 @@ class TestSurfaceCommand:
             capsys, "surface", "--field", "channel:BF", "--level", "0.05", "--out", str(tmp_path)
         )
         assert code == cli.EXIT_BAD_ARGS
+
+    def test_inapplicable_flags_exit_2_without_writing(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "surface", "--field", "bd-a1", "--level", "0.1", "--p", "0.3", "--r", "5",
+            "--resolution", "11", "--out", str(out_dir),
+        )
+        assert code == cli.EXIT_BAD_ARGS
+        assert "--p" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("r", ["inf", "nan"])
+    def test_non_finite_r_exits_2_without_writing(self, capsys, tmp_path, r):
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "surface", "--field", "xz-a1", "--r", r, "--s", "0", "--level", "0.1",
+            "--resolution", "11", "--out", str(out_dir),
+        )
+        assert code == cli.EXIT_BAD_ARGS
+        assert "finite" in err
+        assert "warning" not in err
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_nan_level_exits_2_without_writing(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -237,6 +286,13 @@ class TestVerifyCommand:
         _, out2, err2 = run(capsys, "verify", "--suite", "closed-forms", "--samples", "100")
         assert out1 == out2
         assert err1 == err2
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_exits_2(self, capsys, samples):
+        code, out, err = run(capsys, "verify", "--suite", "closed-forms", "--samples", samples)
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert "samples" in err
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope")

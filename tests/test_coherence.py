@@ -31,6 +31,7 @@ from skewcoh.states import (
     werner,
     x_state_z,
 )
+from skewcoh.surfaces import sample_xz_field
 
 coeff = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -241,6 +242,13 @@ class TestXStateClosedForms:
         total = xz_coherence_values(r, s, 0.2, 0.1, 0.3, "sum")
         assert float(a1) == pytest.approx(xz_coherence_a1(prm), abs=1e-12)
         assert float(total) == pytest.approx(xz_coherence_sum(prm), abs=1e-12)
+
+    @pytest.mark.parametrize("r, s", [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 0.0), (0.1, np.nan)])
+    def test_non_finite_r_s_rejected(self, r, s):
+        with pytest.raises(ValueError, match="must be finite"):
+            xz_coherence_values(r, s, 0.2, 0.1, 0.3, "a1")
+        with pytest.raises(ValueError, match="must be finite"):
+            sample_xz_field(r, s, "sum", 5)
 
     def test_audited_candidate_deviates_generically(self, amubs):
         # the retained candidate expression carries a sign defect; the suite

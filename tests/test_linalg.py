@@ -68,6 +68,11 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_a_stack(self):
+        # require_hermitian takes stacks; the decomposition is of one matrix
+        with pytest.raises(ValueError, match="square matrix"):
+            hermitian_eig(np.stack([EYE4, EYE4]))
+
     @given(st.one_of(hermitian_matrix(2), hermitian_matrix(4)))
     def test_reconstruction_and_unitarity(self, h):
         dec = hermitian_eig(h)

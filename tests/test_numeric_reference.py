@@ -1,20 +1,26 @@
-"""The per-state numeric route against its loop and wrapper references.
+"""The numeric route against its loop and wrapper references.
 
 ``apply_product_channel`` contracts over the Kraus products stacked when
 the channel is built; the per-pair ``kron`` loop it replaced is kept here
 as the reference.  ``sqrt_psd`` keeps the arithmetic of the
 ``hermitian_eig``-based root and ``_xz_matrix``/``local_bloch_vectors``
-use hoisted Pauli products, so those three must agree bit for bit.
+use hoisted Pauli products, so those three must agree bit for bit.  On a
+stack of states, the roots, the coherence kernel and the state matrices
+must equal the per-state results bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from skewcoh.bases import AMUB_LABELS, amub_basis
 from skewcoh.channels import CHANNEL_KINDS, KrausChannel, apply_product_channel, channel_as_kraus, make_channel
+from skewcoh.coherence import _coherence_values, coherence
 from skewcoh.linalg import EYE2, PSD_FLOOR, SIGMA1, SIGMA2, SIGMA3, dagger, hermitian_eig, kron, sqrt_psd
 from skewcoh.states import (
+    BellDiagonalParams,
     DensityMatrix,
     _bd_matrix,
+    _state_roots,
     _xz_matrix,
     bell_diagonal,
     local_bloch_vectors,
@@ -67,7 +73,7 @@ def channel_worst(channel, states):
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_product_channel_matches_kron_loop(kind):
     states = full_rank_states(11, 40)
-    states += [bell_diagonal(prm) for prm in random_bell_params(np.random.default_rng(12), 10)]
+    states += [bell_diagonal(BellDiagonalParams(*c)) for c in random_bell_params(np.random.default_rng(12), 10)]
     for p in (0.0, 0.05, 0.37, 0.5, 0.91, 1.0):
         assert channel_worst(channel_as_kraus(kind, p), states) <= CHANNEL_TOL
 
@@ -115,8 +121,8 @@ def test_sqrt_psd_bit_identical_to_decomposition_route():
 
 
 def test_xz_matrix_bit_identical_to_kron_expression():
-    for prm in random_xz_params(np.random.default_rng(16), 50):
-        args = (prm.r, prm.s, prm.c1, prm.c2, prm.c3)
+    for row in random_xz_params(np.random.default_rng(16), 50):
+        args = tuple(row)
         assert np.array_equal(_xz_matrix(*args), reference_xz_matrix(*args))
 
 
@@ -146,3 +152,68 @@ def test_non_psd_rejected():
         sqrt_psd(NON_PSD)
     with pytest.raises(ValueError, match="^not a state: .*min eigenvalue"):
         DensityMatrix(NON_PSD)
+
+
+def stack_of_states():
+    """Seeded full-rank states, rank-deficient Bell-diagonal states at
+    tetrahedron vertices and on its edges, and a state whose smallest
+    eigenvalue lies above its own rounding bound of zero but below a pure
+    state's, so the bound must be taken per matrix."""
+    c = [(-1.0, -1.0, -1.0), (1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, -1.0)]
+    c += [(0.0, 0.0, -1.0), (0.5, -0.5, 0.0), (0.0, 1.0, 0.0), (-0.25, -0.25, -1.0)]
+    mats = [_bd_matrix(*x) for x in c] + [rho.matrix for rho in full_rank_states(19, 40)]
+    mats.append(np.diag([1 / 3, 1 / 3, 1 / 3 - 5e-16, 5e-16]).astype(complex))
+    mats += [_bd_matrix(*x) for x in random_bell_params(np.random.default_rng(20), 40)]
+    return np.array(mats)
+
+
+def test_stacked_sqrt_psd_equals_per_state():
+    stack = stack_of_states()
+    for floor in (PSD_FLOOR, -1e-10):
+        roots = sqrt_psd(stack, floor)
+        assert roots.shape == stack.shape
+        for root, m in zip(roots, stack):
+            assert np.array_equal(root, sqrt_psd(m, floor))
+    # a (2, n, 4, 4) stack, the second half reversed, gives the same roots
+    both = sqrt_psd(np.stack([stack, stack[::-1]]))
+    assert np.array_equal(both[0], roots) and np.array_equal(both[1], roots[::-1])
+
+
+def test_stacked_kernel_equals_per_state_coherence():
+    stack = stack_of_states()
+    roots = _state_roots(stack)
+    states = [DensityMatrix(m) for m in stack]
+    for root, rho in zip(roots, states):
+        assert np.array_equal(root, rho._root)
+    for lab in AMUB_LABELS:
+        basis = amub_basis(lab)
+        values = _coherence_values(roots, basis.vectors)
+        assert values.shape == (len(stack),)
+        assert [float(v) for v in values] == [coherence(rho, basis) for rho in states]
+
+
+def test_stacked_state_matrices_equal_per_state():
+    bell = random_bell_params(np.random.default_rng(21), 30)
+    stacked = _bd_matrix(*bell.T[..., None, None])
+    assert all(np.array_equal(m, _bd_matrix(*c)) for m, c in zip(stacked, bell))
+    xz = random_xz_params(np.random.default_rng(22), 30)
+    stacked = _xz_matrix(*xz.T[..., None, None])
+    assert all(np.array_equal(m, reference_xz_matrix(*row)) for m, row in zip(stacked, xz))
+
+
+BAD_STATES = {
+    "hermiticity defect": np.diag([0.25] * 4).astype(complex) + np.triu(np.full((4, 4), 0.1), 1),
+    "min eigenvalue": np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex),
+    "trace": np.diag([0.5, 0.25, 0.25, 0.25]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("message", sorted(BAD_STATES))
+def test_stack_with_one_bad_matrix_rejected(message):
+    stack = stack_of_states()
+    stack[17] = BAD_STATES[message]
+    with pytest.raises(ValueError, match=f"^not a state: .*{message}"):
+        _state_roots(stack)
+    if message != "trace":
+        with pytest.raises(ValueError, match=message):
+            sqrt_psd(stack)

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skewcoh.coherence import bd_coherence_values
+from skewcoh.channels import predicted_coefficient_grid
+from skewcoh.coherence import bd_coherence_values, xz_coherence_values
 from skewcoh.surfaces import (
     MAX_RESOLUTION,
     Curve1D,
@@ -81,6 +82,38 @@ class TestFieldSampling:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+
+    def test_slabs_equal_whole_grid_kernels(self):
+        # 21 c1 rows: two full slabs and a partial one
+        axis = np.linspace(-1.0, 1.0, 21)
+        c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+        cases = [
+            (sample_bd_field("a2", 21), bd_coherence_values(c1, c2, c3, "a2")),
+            (sample_bd_field("sum", 21), sum(bd_coherence_values(c1, c2, c3, lab) for lab in ("a1", "a2", "a3"))),
+            (sample_xz_field(0.1, -0.2, "sum", 21), xz_coherence_values(0.1, -0.2, c1, c2, c3, "sum")),
+            (
+                sample_channel_field("GAD", 0.3, 21),
+                bd_coherence_values(*predicted_coefficient_grid("GAD", c1, c2, c3, 0.3), "a1"),
+            ),
+        ]
+        for field, whole in cases:
+            assert field.values.tobytes() == whole.tobytes()
+
+    def test_sampling_peak_memory_is_about_the_field(self):
+        # Whole-grid kernel calls peaked near 90 MB at 101^3; slabs keep the
+        # peak to the field (7.9 MB) plus its validation and small temporaries.
+        for sample in (
+            lambda: sample_bd_field("sum", 101),
+            lambda: sample_xz_field(0.1, 0.1, "a1", 101),
+            lambda: sample_channel_field("GAD", 0.05, 101),
+        ):
+            tracemalloc.start()
+            try:
+                sample()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * 8 * 101**3
 
 class TestXzFieldSampling:
     def test_flat_equals_bell_diagonal(self, bd_a1):

@@ -1,7 +1,14 @@
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from skewcoh.states import tetrahedron_margins
+from skewcoh import cli
+from skewcoh.states import _xz_margins, tetrahedron_margins
 from skewcoh.verify import (
     ALL_SUITES,
     DEFAULT_SEED,
@@ -19,13 +26,45 @@ from skewcoh.verify import (
 def test_bell_sampling_is_valid_and_reproducible():
     a = random_bell_params(np.random.default_rng(7), 50)
     b = random_bell_params(np.random.default_rng(7), 50)
-    assert [p.triple for p in a] == [p.triple for p in b]
-    assert all(min(tetrahedron_margins(*p.triple)) >= 0 for p in a)
+    assert [tuple(c) for c in a] == [tuple(c) for c in b]
+    assert all(min(tetrahedron_margins(*c)) >= 0 for c in a)
+
+
+def reference_bell_draws(rng, n):
+    """The one-draw-at-a-time rejection loop the block sampler replaced."""
+    out = []
+    while len(out) < n:
+        c = rng.uniform(-1.0, 1.0, size=3)
+        if min(tetrahedron_margins(*c)) >= 0.0:
+            out.append(c)
+    return out
+
+
+def reference_xz_draws(rng, n):
+    out = []
+    while len(out) < n:
+        r, s = rng.uniform(-1.0, 1.0, size=2)
+        c1, c2, c3 = rng.uniform(-1.0, 1.0, size=3)
+        if min(_xz_margins(r, s, c1, c2, c3)) >= 0.0:
+            out.append((r, s, c1, c2, c3))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1234, 20240817])
+@pytest.mark.parametrize("n", [0, 1, 2, 37, 500])
+def test_block_samplers_equal_per_draw_loops(seed, n):
+    samplers = ((random_bell_params, reference_bell_draws, 3), (random_xz_params, reference_xz_draws, 5))
+    for sampler, reference, width in samplers:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sampler(rng, n)
+        assert got.shape == (n, width)
+        assert np.array_equal(got, np.array(reference(ref_rng, n)).reshape(-1, width))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_xz_sampling_is_valid():
-    for prm in random_xz_params(np.random.default_rng(7), 30):
-        assert abs(prm.r) <= 1 and abs(prm.s) <= 1
+    for r, s, *_ in random_xz_params(np.random.default_rng(7), 30):
+        assert abs(r) <= 1 and abs(s) <= 1
 
 
 def test_random_matrix_helpers(rng):
@@ -33,6 +72,15 @@ def test_random_matrix_helpers(rng):
     assert np.abs(h - h.conj().T).max() == 0.0
     p = random_psd(rng, 4)
     assert np.linalg.eigvalsh(p)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_samples_below_one_rejected_before_any_suite(samples, monkeypatch):
+    ran = []
+    monkeypatch.setitem(ALL_SUITES, "closed-forms", lambda rng, n: ran.append(n))
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        run_suites(names=["closed-forms"], samples=samples)
+    assert ran == []
 
 
 def test_unknown_suite_name_rejected():
@@ -67,3 +115,20 @@ def test_same_seed_same_report():
     r1 = format_report(run_suites(names=["closed-forms"], seed=99, samples=60))
     r2 = format_report(run_suites(names=["closed-forms"], seed=99, samples=60))
     assert r1 == r2
+
+
+# sha256 of the `skewcoh verify` stdout and stderr, recorded from the
+# per-state suites before the closed-forms, werner, isotropic and xz-states
+# suites were rewritten over stacked arrays.
+REPORT_HASHES = json.loads(Path(__file__).with_name("verify_report_hashes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_HASHES))
+def test_verify_report_bytes_unchanged(name):
+    want = REPORT_HASHES[name]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(want["argv"])
+    assert code == want["exit"]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want["stdout"]
+    assert hashlib.sha256(err.getvalue().encode()).hexdigest() == want["stderr"]
