@@ -110,6 +110,7 @@ def coherence_bound(dim: int) -> float:
 #   a1: (m0 m1) (m2 m3),  a2: (m1 m2) (m0 m3),  a3: (m0 m2) (m1 m3).
 
 _BD_PAIRS = {"a1": ((0, 1), (2, 3)), "a2": ((1, 2), (0, 3)), "a3": ((0, 2), (1, 3))}
+_BD_LABELS = (*_BD_PAIRS, "sum")
 
 
 def _physical(m):
@@ -118,23 +119,31 @@ def _physical(m):
 
 
 def _bd_values(c1, c2, c3, label: str):
-    """The Bell-diagonal kernel: coherence in basis ``label``, elementwise;
-    NaN where a margin is below -TETRA_TOL."""
+    """The Bell-diagonal kernel: coherence in basis ``label``, or summed over
+    the three bases ('sum'), elementwise; NaN where a margin is below
+    -TETRA_TOL."""
+    if label not in _BD_LABELS:
+        raise ValueError(f"unknown basis label {label!r}; expected one of {_BD_LABELS}")
     m = tetrahedron_margins(c1, c2, c3)
     physical = _physical(m)
     roots = [np.sqrt(np.maximum(x, 0.0)) for x in m]
     del m  # 33 MB on a 101^3 grid: free it before the products are formed
-    (i, j), (k, l) = _BD_PAIRS[label]
-    values = np.maximum(0.25 * (2.0 - roots[i] * roots[j] - roots[k] * roots[l]), 0.0)
+
+    def term(pair):
+        (i, j), (k, l) = pair
+        return np.maximum(0.25 * (2.0 - roots[i] * roots[j] - roots[k] * roots[l]), 0.0)
+
+    values = sum(map(term, _BD_PAIRS.values())) if label == "sum" else term(_BD_PAIRS[label])
     return np.where(physical, values, np.nan)
 
 
 def bd_coherence_values(c1, c2, c3, label: str):
     """Closed-form Bell-diagonal coherence, elementwise over ndarray inputs.
 
-    Points outside the physical tetrahedron (margins below -1e-12)
-    evaluate to NaN; scalar users should prefer :func:`bd_coherence`,
-    which validates its parameters instead.
+    ``label`` is a basis ('a1' | 'a2' | 'a3') or the three-basis sum
+    ('sum').  Points outside the physical tetrahedron (margins below
+    -1e-12) evaluate to NaN; scalar users should prefer
+    :func:`bd_coherence`, which validates its parameters instead.
     """
     return _bd_values(np.asarray(c1, dtype=float), np.asarray(c2, dtype=float), np.asarray(c3, dtype=float), label)
 
@@ -148,7 +157,7 @@ def bd_coherence(params: BellDiagonalParams, label: str) -> float:
 
 def bd_coherence_sum(params: BellDiagonalParams) -> float:
     """Coherence summed over the three reference bases."""
-    return float(sum(_bd_values(*params.triple, lab) for lab in _BD_PAIRS))
+    return float(_bd_values(*params.triple, "sum"))
 
 
 def werner_coherence(p):

@@ -101,9 +101,12 @@ def sqrt_psd(a: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     """
     w, v = np.linalg.eigh(require_hermitian(a))
     if w.size:
-        if np.count_nonzero(w[..., 0] < floor):
-            raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e} < {floor:.1e}")
-        noise = w.shape[-1] * _EPS * np.maximum(w[..., -1:], 0.0)
+        low = w.min()
+        if low < floor:
+            raise ValueError(f"matrix is not PSD: min eigenvalue {low:.3e} < {floor:.1e}")
+        # A negative top eigenvalue gives a negative bound, which every
+        # eigenvalue of that matrix still lies below: all are zeroed.
+        noise = w.shape[-1] * _EPS * w[..., -1:]
         w[w <= noise] = 0.0
     root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     # symmetrize away the last few ulps so downstream hermiticity checks pass

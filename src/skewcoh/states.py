@@ -34,10 +34,11 @@ for _m in PAULI_PAIRS + LOCAL_PAULIS_A + LOCAL_PAULIS_B:
 class DensityMatrix:
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
-    All three properties are checked on construction (trace to
-    ``STATE_TOL``; hermiticity to ``HERMITICITY_TOL`` and eigenvalues down
-    to ``-STATE_TOL`` by :func:`sqrt_psd`), and the stored array is frozen
-    so instances stay immutable.  The eigensolve that checks positivity
+    All three properties are checked on construction, after the entries
+    are checked finite (trace to ``STATE_TOL``; hermiticity to
+    ``HERMITICITY_TOL`` and eigenvalues down to ``-STATE_TOL`` by
+    :func:`sqrt_psd`), and the stored array is frozen so instances stay
+    immutable.  The eigensolve that checks positivity
     also gives the PSD square root, kept as ``_root`` so the numeric
     coherence routes never diagonalize the state again.
     """
@@ -62,8 +63,11 @@ class DensityMatrix:
 
 def _state_roots(m: np.ndarray) -> np.ndarray:
     """The PSD square roots of one state or a stack (shape (..., d, d)),
-    validated: unit trace to ``STATE_TOL``, then hermiticity and eigenvalues
-    down to ``-STATE_TOL`` from the one eigensolve that gives the roots."""
+    validated: finite entries, unit trace to ``STATE_TOL``, then hermiticity
+    and eigenvalues down to ``-STATE_TOL`` from the one eigensolve that
+    gives the roots."""
+    if np.count_nonzero(np.isfinite(m)) < m.size:
+        raise ValueError("not a state: non-finite entries")
     tr = m.trace(axis1=-2, axis2=-1)
     off = abs(tr - 1.0) > STATE_TOL
     if np.count_nonzero(off):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._mc_tables import EDGE_AXIS, EDGE_OFFSET, TRI_TABLE
+from ._mc_tables import EDGE_AXIS, EDGE_OFFSET, TRI_COUNT, TRI_TABLE
 from .channels import predicted_coefficient_grid
 from .coherence import (
     bd_coherence_values,
@@ -28,8 +28,10 @@ from .coherence import (
 BD_MEASURES = ("a1", "a2", "a3", "sum")
 # Single-basis fields are capped at 1/2, summed fields at 3/2.
 FIELD_CAP = 1.5 + 1e-9
-# A field and its extraction hold several arrays of resolution^3 points;
-# 301^3 floats are about 220 MB each.
+# A field holds 8 B per grid point.  Extraction adds a 12 B per point slot
+# table and mesh arrays that grow with the surface: the largest figure meshes
+# peak at 21 B per point over the field at 101^3, a like mesh at 15 B at
+# 201^3.  At 301^3 that is 220 MB for the field, 330 MB plus the mesh on top.
 MAX_RESOLUTION = 301
 
 
@@ -46,9 +48,10 @@ class ScalarField3D:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (axis.size,) * 3:
             raise ValueError(f"values shape {values.shape} does not match axis length {axis.size}")
-        finite = values[np.isfinite(values)]
-        if finite.size and (finite.min() < 0.0 or finite.max() > FIELD_CAP):
-            raise ValueError(f"field values outside [0, {FIELD_CAP}]: [{finite.min()}, {finite.max()}]")
+        # NaN is the only non-physical marker; an infinity is out of range.
+        physical = values[~np.isnan(values)]
+        if physical.size and (physical.min() < 0.0 or physical.max() > FIELD_CAP):
+            raise ValueError(f"field values outside [0, {FIELD_CAP}]: [{physical.min()}, {physical.max()}]")
         axis.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "axis", axis)
@@ -132,10 +135,7 @@ def sample_bd_field(measure: str = "a1", resolution: int = 101) -> ScalarField3D
     """
     if measure not in BD_MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {BD_MEASURES}")
-    if measure == "sum":
-        axis, values = _sample(lambda *c: sum(bd_coherence_values(*c, lab) for lab in ("a1", "a2", "a3")), resolution)
-    else:
-        axis, values = _sample(lambda *c: bd_coherence_values(*c, measure), resolution)
+    axis, values = _sample(lambda *c: bd_coherence_values(*c, measure), resolution)
     return ScalarField3D(axis=axis, values=values, name=f"bd-{measure}")
 
 
@@ -173,47 +173,67 @@ def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
     """
     if not (np.isfinite(level) and level >= 0):
         raise ValueError(f"level must be finite and >= 0, got {level}")
-    vals = field.values
+    values = field.values
     axis = field.axis
-    finite = np.isfinite(vals)
-    below = ~finite | (np.where(finite, vals, 0.0) <= level)
+    n = axis.size
+    below = ~(values > level)  # NaN compares false: non-physical is below
 
-    b = below.astype(np.uint16)
-    cfg = (
-        b[:-1, :-1, :-1]
-        | (b[1:, :-1, :-1] << 1)
-        | (b[1:, 1:, :-1] << 2)
-        | (b[:-1, 1:, :-1] << 3)
-        | (b[:-1, :-1, 1:] << 4)
-        | (b[1:, :-1, 1:] << 5)
-        | (b[1:, 1:, 1:] << 6)
-        | (b[:-1, 1:, 1:] << 7)
-    )
-    ci, cj, ck = np.nonzero((cfg != 0) & (cfg != 255))
-    configs = cfg[ci, cj, ck]
+    # Corner configuration of every cell, bit i for CORNER_OFFSETS[i]: the
+    # z pairs first (bits 0-3 at z, 4-7 at z + 1), then the four (x, y).
+    b = below.view(np.uint8)
+    z = b[..., :-1] | (b[..., 1:] << 4)
+    cfg = z[:-1, :-1] | (z[1:, :-1] << 1) | (z[1:, 1:] << 2) | (z[:-1, 1:] << 3)
+    del z
+    cells = np.flatnonzero((cfg != 0) & (cfg != 255))
+    configs = cfg.ravel()[cells]
+    corner = np.ravel_multi_index(np.unravel_index(cells, cfg.shape), values.shape)
+    del cfg
 
     # Key every crossed edge, in cell order and then triangle order, by the
     # flat grid index of its anchor corner and its axis: key = index*3 + axis.
-    n = axis.size
     strides = np.array([n * n, n, 1])
     edge_key = (EDGE_OFFSET @ strides) * 3 + EDGE_AXIS
     rows = TRI_TABLE[configs]
-    crossed = rows != -1
-    keys = np.repeat(((ci * n + cj) * n + ck) * 3, crossed.sum(axis=1)) + edge_key[rows[crossed]]
+    keys = np.repeat(corner * 3, TRI_COUNT[configs]) + edge_key[rows[rows >= 0]]
+    del cells, configs, corner, rows
 
-    # Vertices are numbered in order of first use.
-    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    tris = np.argsort(order)[inverse].reshape(-1, 3)
+    # The distinct keys are the grid edges whose ends differ in ``below``
+    # (each cell's table row uses exactly those of its edges), listed in key
+    # order by one flatnonzero; a slot table maps each key to its edge.  The
+    # grid-sized masks are freed first, so the table's 12 B per grid point
+    # and the per-key arrays set the peak memory.  (A binary search of
+    # ``edges`` needs no table but made extraction about 1.5x slower.)
+    cut = np.zeros((n, n, n, 3), dtype=bool)
+    np.not_equal(below[1:], below[:-1], out=cut[:-1, :, :, 0])
+    np.not_equal(below[:, 1:], below[:, :-1], out=cut[:, :-1, :, 1])
+    np.not_equal(below[:, :, 1:], below[:, :, :-1], out=cut[:, :, :-1, 2])
+    del b, below
+    edges = np.flatnonzero(cut)
+    del cut
+    slot = np.empty(3 * n**3, dtype=np.int32)
+    slot[edges] = np.arange(len(edges), dtype=np.int32)
+    ids = slot[keys]
+    del slot
+
+    # Vertices are numbered in order of first use: the edges at their
+    # first-use positions, in position order.
+    first = np.full(len(edges), len(keys))
+    np.minimum.at(first, ids, np.arange(len(keys)))
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[first] = True
+    order = ids[is_first]
+    rank = np.empty(len(edges), dtype=np.intp)
+    rank[order] = np.arange(len(edges))
+    tris = rank[ids].reshape(-1, 3)
 
     # Interpolation values: non-physical corners act as strictly below level.
-    interp = np.where(finite, vals, level - 1.0).ravel()
-    flat, ax = np.divmod(unique[order], 3)
-    v0 = interp[flat]
-    v1 = interp[flat + strides[ax]]
+    flat, ax = np.divmod(edges[order], 3)
+    ends = values.ravel()[np.stack((flat, flat + strides[ax]))]
+    ends[np.isnan(ends)] = level - 1.0
+    v0, v1 = ends
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(v1 == v0, 0.5, np.minimum(np.maximum((level - v0) / (v1 - v0), 0.0), 1.0))
-    grid = np.stack(np.unravel_index(flat, vals.shape), axis=1)
+    grid = np.stack(np.unravel_index(flat, values.shape), axis=1)
     verts = axis[grid]
     along = np.arange(len(verts)), ax
     lo = verts[along]

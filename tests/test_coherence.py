@@ -152,6 +152,19 @@ class TestBellDiagonalClosedForms:
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown basis label"):
             bd_coherence(BellDiagonalParams(0, 0, 0), "a4")
+        with pytest.raises(ValueError, match="unknown basis label"):
+            bd_coherence_values(0.1, 0.2, 0.3, "a4")
+        # the summed value has one public route, bd_coherence_sum
+        with pytest.raises(ValueError, match="unknown basis label"):
+            bd_coherence(BellDiagonalParams(0, 0, 0), "sum")
+
+    def test_sum_label_is_the_three_basis_sum_bit_for_bit(self):
+        axis = np.linspace(-1.0, 1.0, 21)
+        c = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+        three = bd_coherence_values(*c, "a1") + bd_coherence_values(*c, "a2") + bd_coherence_values(*c, "a3")
+        assert bd_coherence_values(*c, "sum").tobytes() == three.tobytes()
+        params = BellDiagonalParams(0.3, -0.2, 0.1)
+        assert bd_coherence_sum(params) == sum(bd_coherence(params, lab) for lab in ("a1", "a2", "a3"))
 
     def test_grid_values_match_scalar(self):
         c = np.array([0.3, -0.1]), np.array([-0.2, 0.4]), np.array([0.5, 0.0])

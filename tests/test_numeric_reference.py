@@ -217,3 +217,24 @@ def test_stack_with_one_bad_matrix_rejected(message):
     if message != "trace":
         with pytest.raises(ValueError, match=message):
             sqrt_psd(stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_rejected(bad):
+    single = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    single[0, 1] = single[1, 0] = bad
+    stack = stack_of_states()
+    stack[17, 2, 2] = bad
+    for m in (single, stack):
+        with pytest.raises(ValueError, match="^not a state: non-finite entries"):
+            _state_roots(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]))
+
+
+def test_empty_stacks():
+    empty = np.zeros((0, 4, 4), dtype=complex)
+    assert sqrt_psd(empty).shape == (0, 4, 4)
+    roots = _state_roots(empty)
+    assert roots.shape == (0, 4, 4)
+    assert _coherence_values(roots, amub_basis("a1").vectors).shape == (0,)

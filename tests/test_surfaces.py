@@ -307,3 +307,12 @@ class TestMeshValidation:
         axis = np.linspace(-1, 1, 3)
         with pytest.raises(ValueError, match="outside"):
             ScalarField3D(axis=axis, values=np.full((3, 3, 3), 2.0), name="bad")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_values_rejected(self, bad):
+        # NaN is the only non-physical marker; extraction would count +inf
+        # as above every level
+        values = np.full((3, 3, 3), np.nan)
+        values[1, 1, 1] = bad
+        with pytest.raises(ValueError, match="outside"):
+            ScalarField3D(axis=np.linspace(-1, 1, 3), values=values, name="bad")
