@@ -11,7 +11,6 @@ evaluated in throughout this package ("amub" in the code).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -178,33 +177,3 @@ def verify_amub(amubs: AmubSet, tol: float = BASIS_TOL) -> UnbiasednessReport:
     """Check every cross-basis overlap magnitude against 1/d (d the base dimension)."""
     return _overlap_report(amubs.bases, 1.0 / amubs.base_dim, tol)
 
-
-# -- plain-text import/export -------------------------------------------------
-#
-# Format: one basis per block, blocks separated by a blank line, one vector
-# per row, one complex entry per whitespace-separated token.  Tokens use the
-# Python complex literal syntax, e.g. 0.5-0.5j.
-
-
-def _format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
-def save_bases(path: str | Path, bases: list[OrthonormalBasis] | tuple[OrthonormalBasis, ...]) -> None:
-    blocks = []
-    for b in bases:
-        rows = [" ".join(_format_complex(z) for z in vec) for vec in b.vectors]
-        blocks.append("\n".join(rows))
-    Path(path).write_text("\n\n".join(blocks) + "\n", encoding="ascii")
-
-
-def load_bases(path: str | Path) -> list[OrthonormalBasis]:
-    text = Path(path).read_text(encoding="ascii")
-    bases = []
-    for block in text.split("\n\n"):
-        rows = [line.split() for line in block.strip().splitlines() if line.strip()]
-        if not rows:
-            continue
-        vecs = np.array([[complex(tok) for tok in row] for row in rows])
-        bases.append(OrthonormalBasis(vecs))
-    return bases

@@ -2,8 +2,8 @@
 
 Everything operates on plain complex ndarrays.  States, observables and
 Kraus operators in this package are square matrices of dimension 2 or 4;
-the helpers check shapes and hermiticity instead of trusting the caller.
-All functions are pure and never mutate their arguments.
+the helpers check shapes, finiteness and hermiticity instead of trusting
+the caller.  All functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -40,17 +40,16 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product; result dimension is the product of the inputs'."""
-    return np.kron(as_square(a), as_square(b))
-
-
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """The square complex matrix ``a``, or stack of them (shape (..., d, d)),
-    checked Hermitian: no entry of a - a^dagger may exceed ``tol`` in size."""
+    checked finite and Hermitian: no entry of a - a^dagger may exceed
+    ``tol`` in size."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    # NaN would give a NaN defect that passes the bound, inf a NaN with a warning.
+    if np.count_nonzero(np.isfinite(a)) < a.size:
+        raise ValueError("non-finite entries")
     defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: hermiticity defect {defect:.3e} > {tol:.1e}")

@@ -34,11 +34,10 @@ for _m in PAULI_PAIRS + LOCAL_PAULIS_A + LOCAL_PAULIS_B:
 class DensityMatrix:
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
-    All three properties are checked on construction, after the entries
-    are checked finite (trace to ``STATE_TOL``; hermiticity to
-    ``HERMITICITY_TOL`` and eigenvalues down to ``-STATE_TOL`` by
-    :func:`sqrt_psd`), and the stored array is frozen so instances stay
-    immutable.  The eigensolve that checks positivity
+    All three properties are checked on construction (finite entries,
+    hermiticity to ``HERMITICITY_TOL`` and eigenvalues down to
+    ``-STATE_TOL`` by :func:`sqrt_psd`, then the trace to ``STATE_TOL``),
+    and the stored array is frozen so instances stay immutable.  The eigensolve that checks positivity
     also gives the PSD square root, kept as ``_root`` so the numeric
     coherence routes never diagonalize the state again.
     """
@@ -63,19 +62,18 @@ class DensityMatrix:
 
 def _state_roots(m: np.ndarray) -> np.ndarray:
     """The PSD square roots of one state or a stack (shape (..., d, d)),
-    validated: finite entries, unit trace to ``STATE_TOL``, then hermiticity
-    and eigenvalues down to ``-STATE_TOL`` from the one eigensolve that
-    gives the roots."""
-    if np.count_nonzero(np.isfinite(m)) < m.size:
-        raise ValueError("not a state: non-finite entries")
+    validated: finite entries, hermiticity and eigenvalues down to
+    ``-STATE_TOL`` from the one eigensolve that gives the roots, then unit
+    trace to ``STATE_TOL``."""
+    try:
+        root = sqrt_psd(m, -STATE_TOL)
+    except ValueError as exc:
+        raise ValueError(f"not a state: {exc}") from None
     tr = m.trace(axis1=-2, axis2=-1)
     off = abs(tr - 1.0) > STATE_TOL
     if np.count_nonzero(off):
         raise ValueError(f"not a state: trace {np.extract(off, tr)[0]:.12g} != 1")
-    try:
-        return sqrt_psd(m, -STATE_TOL)
-    except ValueError as exc:
-        raise ValueError(f"not a state: {exc}") from None
+    return root
 
 
 def tetrahedron_margins(c1: float, c2: float, c3: float) -> tuple[float, float, float, float]:

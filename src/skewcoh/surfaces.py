@@ -289,27 +289,75 @@ def mesh_component_count(mesh: IsoSurfaceMesh) -> int:
 # CSV with non-physical points omitted; curves as CSV.  Numeric formatting
 # is fixed so identical inputs always produce byte-identical files.
 
-_CHUNK_ROWS = 1 << 16
+# Rows per chunk of a writer.  At 16,384 rows every array the writer makes
+# stays near 1 MB, far under numpy's 4 MB huge-page threshold, so writing
+# adds no huge pages and little heap to the peak memory.
+_CHUNK_ROWS = 1 << 14
 
 
-def _write(path: str | Path, header: str, *sections: tuple[str, np.ndarray]) -> Path:
-    """Write ``header``, then one ``template`` line per row of each table.
+def _float_text(block: np.ndarray, spec: str) -> np.ndarray:
+    """``spec % x`` for every x of a float block, as a (rows, cols, width)
+    uint8 array of NUL-padded ASCII.  Each distinct bit pattern is formatted
+    once by Python's ``%``, so -0.0 stays "-0"; mesh and field rows repeat
+    their grid axis values, and in the figure meshes a quarter of the values
+    of a chunk are distinct."""
+    distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    text = np.array([spec % x for x in distinct.view(float).tolist()], dtype=bytes)
+    return text[inverse.reshape(block.shape)].view(np.uint8).reshape(*block.shape, -1)
 
-    Each chunk of rows is formatted with a single ``%``, which gives the
-    bytes of per-row formatting while the text in memory stays one chunk.
+
+def _int_text(block: np.ndarray) -> np.ndarray:
+    """The decimal digits of a non-negative integer block, as a
+    (rows, cols, width) uint8 array with the leading zeros set to NUL."""
+    top = int(block.max())
+    width = len(str(top))
+    digits = np.empty((*block.shape, width), dtype=np.uint8)
+    # The smallest unsigned type that holds the block divides fastest.
+    rest = block.astype(np.min_scalar_type(top))
+    for i in range(width - 1, -1, -1):
+        quotient = rest // 10
+        np.subtract(rest, quotient * 10, out=digits[..., i], casting="unsafe")
+        rest = quotient
+    digits += ord("0")
+    for i in range(width - 1):
+        digits[..., i][block < 10 ** (width - 1 - i)] = 0
+    return digits
+
+
+def _lines(prefix: str, sep: str, text: np.ndarray) -> np.ndarray:
+    """One line per row of NUL-padded fields (rows, cols, width): ``prefix``,
+    the fields joined by the one-character ``sep``, a newline; one boolean
+    mask drops the NULs."""
+    rows, cols, width = text.shape
+    line = np.empty((rows, len(prefix) + cols * (width + 1)), dtype=np.uint8)
+    line[:, : len(prefix)] = np.frombuffer(prefix.encode("ascii"), np.uint8)
+    cells = line[:, len(prefix) :].reshape(rows, cols, width + 1)
+    cells[..., :width] = text
+    cells[..., width] = np.frombuffer((sep * (cols - 1) + "\n").encode("ascii"), np.uint8)
+    return line[line != 0]
+
+
+def _write(path: str | Path, header: str, *sections: tuple[str, str, str, np.ndarray]) -> Path:
+    """Write ``header``, then for each ``(prefix, spec, sep, table)`` one line
+    per table row: ``prefix``, the row's fields joined by ``sep``, a newline.
+
+    Float fields are ``spec % value`` and integer fields (``spec`` "%d")
+    their decimal digits: the bytes of per-row ``%`` formatting, built as
+    numpy byte arrays a chunk of rows at a time.
     """
     path = Path(path)
-    with path.open("w", encoding="ascii") as out:
-        out.write(header)
-        for template, table in sections:
+    with path.open("wb") as out:
+        out.write(header.encode("ascii"))
+        for prefix, spec, sep, table in sections:
             for start in range(0, len(table), _CHUNK_ROWS):
                 rows = table[start : start + _CHUNK_ROWS]
-                out.write((template * len(rows)) % tuple(rows.ravel().tolist()))
+                text = _int_text(rows) if rows.dtype.kind in "iu" else _float_text(rows, spec)
+                out.write(_lines(prefix, sep, text))
     return path
 
 
 def write_obj(mesh: IsoSurfaceMesh, path: str | Path) -> Path:
-    return _write(path, "", ("v %.9g %.9g %.9g\n", mesh.vertices), ("f %d %d %d\n", mesh.triangles + 1))
+    return _write(path, "", ("v ", "%.9g", " ", mesh.vertices), ("f ", "%d", " ", mesh.triangles + 1))
 
 
 def write_ply(mesh: IsoSurfaceMesh, path: str | Path) -> Path:
@@ -324,15 +372,15 @@ def write_ply(mesh: IsoSurfaceMesh, path: str | Path) -> Path:
         "property list uchar int vertex_indices\n"
         "end_header\n"
     )
-    return _write(path, header, ("%.9g %.9g %.9g\n", mesh.vertices), ("3 %d %d %d\n", mesh.triangles))
+    return _write(path, header, ("", "%.9g", " ", mesh.vertices), ("3 ", "%d", " ", mesh.triangles))
 
 
 def write_field_csv(field: ScalarField3D, path: str | Path) -> Path:
     points = np.nonzero(np.isfinite(field.values))
     table = np.stack([field.axis[i] for i in points] + [field.values[points]], axis=1)
-    return _write(path, "c1,c2,c3,value\n", ("%.9g,%.9g,%.9g,%.9g\n", table))
+    return _write(path, "c1,c2,c3,value\n", ("", "%.9g", ",", table))
 
 
 def write_curve_csv(curve: Curve1D, path: str | Path, header: str = "p,C", digits: int = 12) -> Path:
     table = np.stack((curve.xs, curve.values), axis=1)
-    return _write(path, f"{header}\n", (f"%.{digits}g,%.{digits}g\n", table))
+    return _write(path, f"{header}\n", ("", f"%.{digits}g", ",", table))

@@ -49,6 +49,10 @@ from .states import (
 )
 
 DEFAULT_SEED = 1234
+# The stacked suites (closed-forms, xz-states) hold about 1.5 kB per sample
+# at their peak, 150 MB at the cap; the per-state suites take up to about
+# 10 ms a sample.
+MAX_SAMPLES = 100_000
 
 DYNAMICS_PARAMETER_SETS = (
     BellDiagonalParams(-0.2, 0.6, 0.6),
@@ -541,9 +545,9 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run the selected suites (all by default) on a fresh seeded generator.
 
-    ``samples`` (>= 1) overrides every suite's sample counts."""
-    if samples is not None and samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    ``samples`` (1 to ``MAX_SAMPLES``) overrides every suite's sample counts."""
+    if samples is not None and not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be >= 1 and <= {MAX_SAMPLES}, got {samples}")
     selected = list(ALL_SUITES) if names is None else names
     unknown = [n for n in selected if n not in ALL_SUITES]
     if unknown:

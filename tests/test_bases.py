@@ -8,10 +8,8 @@ from skewcoh.bases import (
     amub_basis,
     amub_from_mubs,
     computational_basis,
-    load_bases,
     qubit_mubs,
     represent_in_basis,
-    save_bases,
     verify_amub,
     verify_mub,
 )
@@ -109,16 +107,6 @@ class TestRepresentInBasis:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             represent_in_basis(werner(0.5), computational_basis(2))
-
-
-def test_basis_file_round_trip(tmp_path):
-    path = tmp_path / "bases.txt"
-    original = list(qubit_mubs().bases) + list(amub_from_mubs(qubit_mubs()).bases)
-    save_bases(path, original)
-    loaded = load_bases(path)
-    assert len(loaded) == len(original)
-    for a, b in zip(loaded, original):
-        assert np.array_equal(a.vectors, b.vectors)
 
 
 def test_unknown_basis_label():

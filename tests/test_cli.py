@@ -5,6 +5,7 @@ from skewcoh import cli
 from skewcoh.bases import amub_basis
 from skewcoh.coherence import coherence
 from skewcoh.states import BellDiagonalParams, bell_diagonal
+from skewcoh.verify import ALL_SUITES, MAX_SAMPLES
 
 
 def run(capsys, *argv):
@@ -293,6 +294,15 @@ class TestVerifyCommand:
         assert code == cli.EXIT_BAD_ARGS
         assert out == ""
         assert "samples" in err
+
+    def test_samples_above_cap_exits_2(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(ALL_SUITES, "closed-forms", lambda rng, n: ran.append(n))
+        code, out, err = run(capsys, "verify", "--suite", "closed-forms", "--samples", str(MAX_SAMPLES + 1))
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert f"<= {MAX_SAMPLES}" in err
+        assert ran == []
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope")

@@ -9,7 +9,6 @@ from skewcoh.linalg import (
     SIGMA2,
     SIGMA3,
     hermitian_eig,
-    kron,
     sqrt_psd,
 )
 
@@ -33,19 +32,19 @@ def hermitian_matrix(dim):
 
 class TestKron:
     def test_identities(self):
-        assert np.array_equal(kron(EYE2, EYE2), EYE4)
+        assert np.array_equal(np.kron(EYE2, EYE2), EYE4)
 
     def test_diagonal_paulis(self):
-        assert np.allclose(kron(SIGMA3, SIGMA3), np.diag([1, -1, -1, 1]))
+        assert np.allclose(np.kron(SIGMA3, SIGMA3), np.diag([1, -1, -1, 1]))
 
     def test_antidiagonal(self):
         expected = np.fliplr(np.eye(4))
-        assert np.allclose(kron(SIGMA1, SIGMA1), expected)
+        assert np.allclose(np.kron(SIGMA1, SIGMA1), expected)
 
     @given(square_matrix(2), square_matrix(3))
     def test_trace_multiplicative(self, a, b):
         product = np.trace(a) * np.trace(b)
-        assert abs(np.trace(kron(a, b)) - product) <= 1e-12 * (1 + abs(product))
+        assert abs(np.trace(np.kron(a, b)) - product) <= 1e-12 * (1 + abs(product))
 
 
 class TestHermitianEig:
@@ -60,7 +59,7 @@ class TestHermitianEig:
     def test_singlet_spectrum(self):
         # (I(x)I - sum_i sigma_i(x)sigma_i)/4 assembled entrywise splits into
         # blocks [[0,0],[0,0]] and [[1/2,-1/2],[-1/2,1/2]]: spectrum (0,0,0,1)
-        m = 0.25 * (EYE4 - kron(SIGMA1, SIGMA1) - kron(SIGMA2, SIGMA2) - kron(SIGMA3, SIGMA3))
+        m = 0.25 * (EYE4 - np.kron(SIGMA1, SIGMA1) - np.kron(SIGMA2, SIGMA2) - np.kron(SIGMA3, SIGMA3))
         dec = hermitian_eig(m)
         assert np.allclose(dec.eigenvalues, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
@@ -107,3 +106,20 @@ class TestSqrtPsd:
         scale = 1.0 + float(np.abs(p).max())
         assert np.abs(root @ root - p).max() <= 1e-9 * scale
         assert np.abs(root - root.conj().T).max() <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_rejected_without_warnings(bad):
+    # A NaN entry once gave a NaN defect that passed the hermiticity bound
+    # (an all-NaN root), and an infinite one warned in the defect first.
+    off_diagonal = np.array([[1.0, bad], [bad, 1.0]])
+    diagonal = np.array([[bad, 0.0], [0.0, 1.0]])
+    stack = np.stack([EYE4, EYE4, EYE4])
+    stack[1, 2, 3] = stack[1, 3, 2] = bad
+    for m in (off_diagonal, diagonal, stack):
+        with pytest.raises(ValueError, match="^non-finite entries$"):
+            sqrt_psd(m)
+    for m in (off_diagonal, diagonal):
+        with pytest.raises(ValueError, match="^non-finite entries$"):
+            hermitian_eig(m)

@@ -15,7 +15,7 @@ import pytest
 from skewcoh.bases import AMUB_LABELS, amub_basis
 from skewcoh.channels import CHANNEL_KINDS, KrausChannel, apply_product_channel, channel_as_kraus, make_channel
 from skewcoh.coherence import _coherence_values, coherence
-from skewcoh.linalg import EYE2, PSD_FLOOR, SIGMA1, SIGMA2, SIGMA3, dagger, hermitian_eig, kron, sqrt_psd
+from skewcoh.linalg import EYE2, PSD_FLOOR, SIGMA1, SIGMA2, SIGMA3, dagger, hermitian_eig, sqrt_psd
 from skewcoh.states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -35,7 +35,7 @@ def reference_product_channel(channel, m):
     out = np.zeros((4, 4), dtype=complex)
     for ei in channel.operators:
         for ej in channel.operators:
-            k = kron(ei, ej)
+            k = np.kron(ei, ej)
             out += k @ m @ dagger(k)
     return out
 
@@ -95,7 +95,7 @@ def test_complex_kraus_set_matches_kron_loop():
 
 def test_stacked_products_are_the_kron_products():
     channel = make_channel("GAD", 0.3, gamma=0.45)
-    expected = [kron(ei, ej) for ei in channel.operators for ej in channel.operators]
+    expected = [np.kron(ei, ej) for ei in channel.operators for ej in channel.operators]
     assert np.array_equal(channel._products, np.array(expected))
     assert not channel._products.flags.writeable
 

@@ -5,12 +5,14 @@ loop and the per-line writers produced; the hashes in
 ``figure_hashes_res41.json`` were recorded from that code.  The loop
 implementations are kept here, verbatim, as the references the array code
 is compared with, together with the ``np.unique``-based vertex numbering
-that the sort-free numbering replaced.
+that the sort-free numbering replaced and the per-row ``%`` writers that
+the array writers replaced.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -21,14 +23,21 @@ import pytest
 from skewcoh import cli
 from skewcoh._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_CORNERS, EDGE_OFFSET, TRI_TABLE
 from skewcoh.surfaces import (
+    _CHUNK_ROWS,
+    Curve1D,
     IsoSurfaceMesh,
     ScalarField3D,
+    _write,
     channel_surface,
     extract_isosurface,
     mesh_component_count,
     sample_bd_field,
     sample_channel_field,
     sample_xz_field,
+    write_curve_csv,
+    write_field_csv,
+    write_obj,
+    write_ply,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -313,3 +322,150 @@ def test_component_count_matches_union_find(make_mesh, count):
 def test_component_count_of_empty_mesh():
     empty = IsoSurfaceMesh(vertices=np.zeros((0, 3)), triangles=np.zeros((0, 3), dtype=int), level=0.1)
     assert mesh_component_count(empty) == reference_component_count(empty) == 0
+
+
+def reference_write(path, header, *sections):
+    """The per-row ``%`` writer the array writers replaced."""
+    path = Path(path)
+    with path.open("w", encoding="ascii") as out:
+        out.write(header)
+        for template, table in sections:
+            for start in range(0, len(table), _CHUNK_ROWS):
+                rows = table[start : start + _CHUNK_ROWS]
+                out.write((template * len(rows)) % tuple(rows.ravel().tolist()))
+    return path
+
+
+def reference_write_obj(mesh, path):
+    return reference_write(path, "", ("v %.9g %.9g %.9g\n", mesh.vertices), ("f %d %d %d\n", mesh.triangles + 1))
+
+
+def reference_write_ply(mesh, path):
+    header = (
+        "ply\n"
+        "format ascii 1.0\n"
+        f"element vertex {len(mesh.vertices)}\n"
+        "property float x\n"
+        "property float y\n"
+        "property float z\n"
+        f"element face {len(mesh.triangles)}\n"
+        "property list uchar int vertex_indices\n"
+        "end_header\n"
+    )
+    return reference_write(path, header, ("%.9g %.9g %.9g\n", mesh.vertices), ("3 %d %d %d\n", mesh.triangles))
+
+
+def reference_write_field_csv(field, path):
+    points = np.nonzero(np.isfinite(field.values))
+    table = np.stack([field.axis[i] for i in points] + [field.values[points]], axis=1)
+    return reference_write(path, "c1,c2,c3,value\n", ("%.9g,%.9g,%.9g,%.9g\n", table))
+
+
+def reference_write_curve_csv(curve, path, header="p,C", digits=12):
+    table = np.stack((curve.xs, curve.values), axis=1)
+    return reference_write(path, f"{header}\n", (f"%.{digits}g,%.{digits}g\n", table))
+
+
+def assert_same_bytes(tmp_path, write, reference, *args, **kwargs):
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert write(*args, new, **kwargs) == new
+    reference(*args, old, **kwargs)
+    assert new.read_bytes() == old.read_bytes()
+
+
+# Signed zeros, the fixed/exponent switch of %g at 1e-4 and at the
+# precision, subnormals, values that round up a digit or into the next
+# decade, ties of the decimal expansion, and non-finite values.
+SPECIAL_FLOATS = np.array([
+    0.0, -0.0, 1e-5, -1e-5, 1e-4, 9.99999999e-5, 9.999999995e-5, 2.2e-16, 2.220446049250313e-16,
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308, 0.99999999996,
+    -0.99999999996, 0.999999999949, 9.9999999995, 99999999.95, 999999999.5, 999999999.4, 1e9,
+    123456789.5, 1234567895.0, 0.5, 1.5, 0.1, 1 / 3, -2 / 3, np.pi * 1e9, 1e16, 1e100, -1e-100,
+    2.0**-30, 0.125, 1e21, 1.7976931348623157e308, np.nan, np.inf, -np.inf,
+])
+
+
+def random_floats(rng, n):
+    """Signed values over many decades, with about a third repeated."""
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+    repeats = rng.random(n) < 0.3
+    values[repeats] = rng.choice(values, repeats.sum())
+    return values
+
+
+def test_mesh_writers_match_per_row_formatting_on_special_floats(tmp_path):
+    vertices = np.resize(SPECIAL_FLOATS, (len(SPECIAL_FLOATS), 3))
+    vertices[:, 1] = SPECIAL_FLOATS[::-1]
+    triangles = np.arange(3 * len(vertices)).reshape(-1, 3) % len(vertices)
+    mesh = IsoSurfaceMesh(vertices=vertices, triangles=triangles, level=0.1)
+    assert_same_bytes(tmp_path, write_obj, reference_write_obj, mesh)
+    assert_same_bytes(tmp_path, write_ply, reference_write_ply, mesh)
+
+
+@pytest.mark.parametrize("digits", [9, 12, 17])
+def test_curve_csv_matches_per_row_formatting(tmp_path, digits):
+    finite = SPECIAL_FLOATS[np.isfinite(SPECIAL_FLOATS)]
+    xs = np.unique(np.concatenate((finite, random_floats(np.random.default_rng(digits), 500))))
+    values = np.resize(np.concatenate((SPECIAL_FLOATS, -finite)), xs.shape)
+    curve = Curve1D(parameter="p", xs=xs, values=values)
+    assert_same_bytes(tmp_path, write_curve_csv, reference_write_curve_csv, curve, digits=digits)
+    assert_same_bytes(tmp_path, write_curve_csv, reference_write_curve_csv, curve, header="F,C")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_field_csv_matches_per_row_formatting(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    field = random_field(seed)
+    # Values anywhere in the field's range, some tiny or exactly 0.
+    values = np.where(np.isnan(field.values), np.nan, rng.random(field.values.shape) * 1.5)
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.1] = 1e-7
+    axis = np.sort(np.concatenate(([-0.0, 1e-5, 2.2e-16], random_floats(rng, field.resolution - 3))))
+    field = ScalarField3D(axis=axis, values=values, name="random")
+    assert_same_bytes(tmp_path, write_field_csv, reference_write_field_csv, field)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+def test_mesh_writers_match_per_row_formatting_at_chunk_boundaries(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    vertices = random_floats(rng, 3 * rows).reshape(-1, 3)
+    triangles = rng.integers(0, max(rows, 1), size=(rows, 3))
+    mesh = IsoSurfaceMesh(vertices=vertices, triangles=triangles, level=0.1)
+    assert_same_bytes(tmp_path, write_obj, reference_write_obj, mesh)
+    assert_same_bytes(tmp_path, write_ply, reference_write_ply, mesh)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mesh_writers_match_per_row_formatting_on_random_meshes(tmp_path, seed):
+    field = random_field(seed, resolution=25)
+    for level in (0.0, 0.375, 0.8):
+        mesh = extract_isosurface(field, level)
+        assert_same_bytes(tmp_path, write_obj, reference_write_obj, mesh)
+        assert_same_bytes(tmp_path, write_ply, reference_write_ply, mesh)
+
+
+def test_integer_fields_match_per_row_formatting_at_digit_boundaries(tmp_path):
+    # The leading-zero rule at every change of width, and a width past 32 bits.
+    table = np.array([[0, 1, 9], [10, 99, 100], [999, 1000, 999999], [1000000, 2**31 - 1, 2**32], [12345678901, 7, 0]])
+    for prefix, sep in (("f ", " "), ("", ","), ("3 ", " ")):
+        new, old = tmp_path / "new", tmp_path / "old"
+        _write(new, "h\n", (prefix, "%d", sep, table), (prefix, "%d", sep, table[:, :1] + 8))
+        template = prefix + sep.join(["%d"] * 3) + "\n"
+        reference_write(old, "h\n", (template, table), (prefix + "%d\n", table[:, :1] + 8))
+        assert new.read_bytes() == old.read_bytes()
+
+
+def test_writing_the_largest_figure_mesh_is_chunked():
+    # bd-sum at level 0.2 is the largest figure mesh at 101^3: 78,306
+    # vertices and 154,212 triangles, 5.6 MB of arrays.  Writing it one
+    # chunk at a time peaks at 1.2 times that, most of it the 1-based copy
+    # of the triangles; building the whole file at once peaked at 3 times.
+    mesh = extract_isosurface(sample_bd_field("sum", 101), 0.2)
+    budget = 1.5 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
+    tracemalloc.start()
+    try:
+        write_obj(mesh, os.devnull)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget

@@ -12,6 +12,8 @@ from skewcoh.states import _xz_margins, tetrahedron_margins
 from skewcoh.verify import (
     ALL_SUITES,
     DEFAULT_SEED,
+    MAX_SAMPLES,
+    SuiteResult,
     format_report,
     random_bell_params,
     random_hermitian,
@@ -81,6 +83,17 @@ def test_samples_below_one_rejected_before_any_suite(samples, monkeypatch):
     with pytest.raises(ValueError, match="samples must be >= 1"):
         run_suites(names=["closed-forms"], samples=samples)
     assert ran == []
+
+
+def test_samples_cap_checked_before_any_suite(monkeypatch):
+    # The suite is a stub, so neither count allocates anything.
+    ran = []
+    monkeypatch.setitem(ALL_SUITES, "closed-forms", lambda rng, n: ran.append(n) or SuiteResult("closed-forms"))
+    with pytest.raises(ValueError, match=f"samples must be >= 1 and <= {MAX_SAMPLES}, got {MAX_SAMPLES + 1}"):
+        run_suites(names=["closed-forms"], samples=MAX_SAMPLES + 1)
+    assert ran == []
+    run_suites(names=["closed-forms"], samples=MAX_SAMPLES)
+    assert ran == [MAX_SAMPLES]
 
 
 def test_unknown_suite_name_rejected():
