@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import DensityMatrix
-from .linalg import as_square
 
 # Orthonormality / unbiasedness certification tolerance.
 BASIS_TOL = 1e-12
@@ -130,15 +129,16 @@ def amub_basis(label: str) -> OrthonormalBasis:
 
 
 def represent_in_basis(rho: DensityMatrix | np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
-    """Matrix of rho in the given basis: entry (i, j) = <b_i| rho |b_j>.
+    """Matrix of rho in the given basis: entry (i, j) = <b_i| rho |b_j>,
+    for one matrix or a stack of them (shape (..., d, d)).
 
     This is a unitary congruence, so the result is again a valid density
     matrix with the same spectrum.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else as_square(rho)
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     v = basis.vectors
-    if m.shape[0] != basis.dim:
-        raise ValueError(f"dimension mismatch: state {m.shape[0]}, basis {basis.dim}")
+    if m.shape[-2:] != v.shape:
+        raise ValueError(f"dimension mismatch: state shape {m.shape}, basis {basis.dim}")
     return v.conj() @ m @ v.T
 
 

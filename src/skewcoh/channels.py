@@ -112,12 +112,17 @@ def gad_reduced(p: float) -> KrausChannel:
     return make_channel("GAD", GAD_FORM_PRESERVING_P, gamma=p)
 
 
+def _apply_products(products: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_k K_k m K_k^dagger over Kraus products K (..., n, d, d) for every m
+    of a stack (..., d, d); leading axes broadcast, pairing channels with states."""
+    return (products @ m[..., None, :, :] @ products.conj().swapaxes(-1, -2)).sum(axis=-3)
+
+
 def apply_product_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply the two-qubit product channel built from a single-qubit Kraus set."""
     if rho.dim != 4:
         raise ValueError(f"expected a two-qubit state, got dimension {rho.dim}")
-    k = channel._products
-    return DensityMatrix((k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0))
+    return DensityMatrix(_apply_products(channel._products, rho.matrix))
 
 
 def predicted_coefficients(kind: str, params: BellDiagonalParams, p: float) -> BellDiagonalParams:
@@ -129,15 +134,19 @@ def predicted_coefficients(kind: str, params: BellDiagonalParams, p: float) -> B
     return BellDiagonalParams(*(float(c) for c in predicted_coefficient_grid(kind, *params.triple, p)))
 
 
-def predicted_coefficient_grid(kind: str, c1, c2, c3, p: float):
-    """The coefficient map elementwise over coefficient arrays;
+def predicted_coefficient_grid(kind: str, c1, c2, c3, p):
+    """The coefficient map elementwise over coefficient arrays and ``p``;
     :func:`predicted_coefficients` is its 0-d case."""
     if kind not in COEFFICIENT_POWERS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
-    if not 0.0 <= p <= 1.0:
+    # A float p in range skips the array test, which costs microseconds.
+    inside = (p >= 0.0) & (p <= 1.0)
+    if inside is not True and not np.all(inside):
         raise ValueError(f"p={p} outside [0, 1]")
-    powers = COEFFICIENT_POWERS[kind]
-    return tuple(np.asarray(ci) * (1.0 - p) ** k for ci, k in zip((c1, c2, c3), powers))
+    # Products, not **: numpy squares arrays exactly, Python's float ** may not.
+    q = 1.0 - p
+    factors = (1.0, q, q * q)
+    return tuple(np.asarray(ci) * factors[k] for ci, k in zip((c1, c2, c3), COEFFICIENT_POWERS[kind]))
 
 
 def channel_as_kraus(kind: str, p: float) -> KrausChannel:

@@ -8,8 +8,6 @@ the caller.  All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Max-abs asymmetry accepted before a matrix stops counting as Hermitian.
@@ -40,10 +38,10 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """The square complex matrix ``a``, or stack of them (shape (..., d, d)),
     checked finite and Hermitian: no entry of a - a^dagger may exceed
-    ``tol`` in size."""
+    ``HERMITICITY_TOL`` in size."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -51,39 +49,9 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     if np.count_nonzero(np.isfinite(a)) < a.size:
         raise ValueError("non-finite entries")
     defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: hermiticity defect {defect:.3e} > {tol:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: hermiticity defect {defect:.3e} > {HERMITICITY_TOL:.1e}")
     return a
-
-
-@dataclass(frozen=True)
-class HermitianEigenDecomposition:
-    """Spectral decomposition a = V diag(w) V^dagger.
-
-    ``eigenvalues`` are real and sorted ascending; column i of
-    ``eigenvectors`` is the unit eigenvector for ``eigenvalues[i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruction_error(self, a: np.ndarray) -> float:
-        v = self.eigenvectors
-        return float(np.abs((v * self.eigenvalues) @ v.conj().T - a).max())
-
-    def unitarity_defect(self) -> float:
-        v = self.eigenvectors
-        return float(np.abs(v.conj().T @ v - np.eye(v.shape[0])).max())
-
-
-def hermitian_eig(a: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Backed by LAPACK via ``numpy.linalg.eigh``; a failure to converge
-    surfaces as ``numpy.linalg.LinAlgError``.
-    """
-    w, v = np.linalg.eigh(require_hermitian(as_square(a), tol))
-    return HermitianEigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def sqrt_psd(a: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:

@@ -22,11 +22,12 @@ TETRA_TOL = 1e-12
 EYE4 = np.kron(EYE2, EYE2)
 EYE4.flags.writeable = False
 
-PAULI_PAIRS = (np.kron(SIGMA1, SIGMA1), np.kron(SIGMA2, SIGMA2), np.kron(SIGMA3, SIGMA3))
-# The local observables sigma_i (x) I and I (x) sigma_i, i = 1, 2, 3.
-LOCAL_PAULIS_A = tuple(np.kron(sig, EYE2) for sig in (SIGMA1, SIGMA2, SIGMA3))
-LOCAL_PAULIS_B = tuple(np.kron(EYE2, sig) for sig in (SIGMA1, SIGMA2, SIGMA3))
-for _m in PAULI_PAIRS + LOCAL_PAULIS_A + LOCAL_PAULIS_B:
+# sigma_i (x) sigma_i and the local observables sigma_i (x) I and
+# I (x) sigma_i, i = 1, 2, 3, each family one (3, 4, 4) stack.
+PAULI_PAIRS = np.array([np.kron(sig, sig) for sig in (SIGMA1, SIGMA2, SIGMA3)])
+LOCAL_PAULIS_A = np.array([np.kron(sig, EYE2) for sig in (SIGMA1, SIGMA2, SIGMA3)])
+LOCAL_PAULIS_B = np.array([np.kron(EYE2, sig) for sig in (SIGMA1, SIGMA2, SIGMA3)])
+for _m in (PAULI_PAIRS, LOCAL_PAULIS_A, LOCAL_PAULIS_B):
     _m.flags.writeable = False
 
 
@@ -55,9 +56,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 def _state_roots(m: np.ndarray) -> np.ndarray:
@@ -226,6 +224,18 @@ def _two_qubit(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     return m
 
 
+def _pauli_traces(m: np.ndarray, paulis: np.ndarray) -> np.ndarray:
+    """The read-back kernel: tr(m P) for every matrix m of a stack (shape
+    (..., 4, 4)) and every observable P of the stack ``paulis``, shape
+    (..., len(paulis)).  The traces are real for Hermitian input; a residual
+    imaginary part above STATE_TOL is an error."""
+    t = np.trace(m[..., None, :, :] @ paulis, axis1=-2, axis2=-1)
+    bad = abs(t.imag) > STATE_TOL
+    if np.count_nonzero(bad):
+        raise ValueError(f"Pauli expectation has imaginary part {np.extract(bad, t.imag)[0]:.3e}")
+    return t.real
+
+
 def correlation_coefficients(rho: DensityMatrix | np.ndarray) -> tuple[float, float, float]:
     """Read back (c1, c2, c3) as tr(rho sigma_i (x) sigma_i).
 
@@ -233,17 +243,11 @@ def correlation_coefficients(rho: DensityMatrix | np.ndarray) -> tuple[float, fl
     are real for Hermitian input and the residual imaginary part is
     checked against STATE_TOL.
     """
-    m = _two_qubit(rho)
-    out = []
-    for pp in PAULI_PAIRS:
-        t = np.trace(m @ pp)
-        if abs(t.imag) > STATE_TOL:
-            raise ValueError(f"correlation coefficient has imaginary part {t.imag:.3e}")
-        out.append(float(t.real))
-    return tuple(out)
+    return tuple(float(t) for t in _pauli_traces(_two_qubit(rho), PAULI_PAIRS))
 
 
 def local_bloch_vectors(rho: DensityMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-qubit Bloch vectors (r, s) with r_i = tr(rho sigma_i (x) I)."""
+    """Single-qubit Bloch vectors (r, s) with r_i = tr(rho sigma_i (x) I),
+    the imaginary parts checked as in :func:`correlation_coefficients`."""
     m = _two_qubit(rho)
-    return tuple(np.array([np.trace(m @ op).real for op in ops]) for ops in (LOCAL_PAULIS_A, LOCAL_PAULIS_B))
+    return _pauli_traces(m, LOCAL_PAULIS_A), _pauli_traces(m, LOCAL_PAULIS_B)

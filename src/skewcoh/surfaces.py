@@ -337,13 +337,13 @@ def _lines(prefix: str, sep: str, text: np.ndarray) -> np.ndarray:
     return line[line != 0]
 
 
-def _write(path: str | Path, header: str, *sections: tuple[str, str, str, np.ndarray]) -> Path:
+def _write(path: str | Path, header: str, *sections: tuple[str, str, str, np.ndarray], index_base: int = 0) -> Path:
     """Write ``header``, then for each ``(prefix, spec, sep, table)`` one line
     per table row: ``prefix``, the row's fields joined by ``sep``, a newline.
 
     Float fields are ``spec % value`` and integer fields (``spec`` "%d")
-    their decimal digits: the bytes of per-row ``%`` formatting, built as
-    numpy byte arrays a chunk of rows at a time.
+    their decimal digits after adding ``index_base``: the bytes of per-row
+    ``%`` formatting, built as numpy byte arrays a chunk of rows at a time.
     """
     path = Path(path)
     with path.open("wb") as out:
@@ -351,13 +351,13 @@ def _write(path: str | Path, header: str, *sections: tuple[str, str, str, np.nda
         for prefix, spec, sep, table in sections:
             for start in range(0, len(table), _CHUNK_ROWS):
                 rows = table[start : start + _CHUNK_ROWS]
-                text = _int_text(rows) if rows.dtype.kind in "iu" else _float_text(rows, spec)
+                text = _int_text(rows + index_base) if rows.dtype.kind in "iu" else _float_text(rows, spec)
                 out.write(_lines(prefix, sep, text))
     return path
 
 
 def write_obj(mesh: IsoSurfaceMesh, path: str | Path) -> Path:
-    return _write(path, "", ("v ", "%.9g", " ", mesh.vertices), ("f ", "%d", " ", mesh.triangles + 1))
+    return _write(path, "", ("v ", "%.9g", " ", mesh.vertices), ("f ", "%d", " ", mesh.triangles), index_base=1)
 
 
 def write_ply(mesh: IsoSurfaceMesh, path: str | Path) -> Path:

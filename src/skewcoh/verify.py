@@ -30,29 +30,34 @@ from .coherence import (
     xz_coherence_a1_candidate,
     xz_coherence_sum_candidate,
 )
-from .linalg import hermitian_eig, sqrt_psd
+from .linalg import require_hermitian, sqrt_psd
 from .states import (
+    EYE4,
+    LOCAL_PAULIS_A,
+    LOCAL_PAULIS_B,
+    PAULI_PAIRS,
     BellDiagonalParams,
     DensityMatrix,
     XStateZParams,
     _bd_matrix,
     _isotropic_coefficients,
+    _pauli_traces,
     _state_roots,
     _werner_coefficients,
     _xz_margins,
     _xz_matrix,
     bell_diagonal,
-    correlation_coefficients,
-    local_bloch_vectors,
     tetrahedron_margins,
     x_state_z,
 )
 
 DEFAULT_SEED = 1234
-# The stacked suites (closed-forms, xz-states) hold about 1.5 kB per sample
-# at their peak, 150 MB at the cap; the per-state suites take up to about
-# 10 ms a sample.
+# closed-forms and xz-states hold about 1.5 kB per sample at their peak,
+# 150 MB at the cap.  The other sampled suites evaluate CHUNK_STATES states
+# at a time (about 17 kB a state in coefficient-table, 35 MB a chunk) and
+# take up to about 0.3 ms a sample, mostly building channels.
 MAX_SAMPLES = 100_000
+CHUNK_STATES = 2048
 
 DYNAMICS_PARAMETER_SETS = (
     BellDiagonalParams(-0.2, 0.6, 0.6),
@@ -128,6 +133,16 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
+def _chunks(n: int) -> list[range]:
+    """range(n) cut into consecutive ranges of at most CHUNK_STATES indices."""
+    return [range(lo, min(lo + CHUNK_STATES, n)) for lo in range(0, n, CHUNK_STATES)]
+
+
+def _worst(deviations: np.ndarray) -> float:
+    """The largest absolute deviation (0 for an empty stack, NaN if any is NaN)."""
+    return float(np.abs(deviations).max(initial=0.0))
+
+
 # -- suites --------------------------------------------------------------------
 
 
@@ -135,40 +150,29 @@ def suite_linalg(rng: np.random.Generator, samples: int | None = None) -> SuiteR
     n = samples or 500
     res = SuiteResult("linalg")
     worst_rec = worst_unit = worst_sqrt = 0.0
-    for k in range(n):
-        dim = 2 if k % 2 == 0 else 4
-        h = random_hermitian(rng, dim)
-        dec = hermitian_eig(h)
-        worst_rec = max(worst_rec, dec.reconstruction_error(h))
-        worst_unit = max(worst_unit, dec.unitarity_defect())
-        p = random_psd(rng, dim)
-        root = sqrt_psd(p)
-        worst_sqrt = max(worst_sqrt, float(np.abs(root @ root - p).max()))
+    for ks in _chunks(n):
+        draws = []
+        for k in ks:
+            dim = 2 if k % 2 == 0 else 4
+            draws.append((random_hermitian(rng, dim), random_psd(rng, dim)))
+        # Dimensions alternate, so every second draw of a chunk is one stack.
+        for j in range(min(2, len(ks))):
+            h, p = (np.array(x) for x in zip(*draws[j::2]))
+            w, v = np.linalg.eigh(require_hermitian(h))
+            vh = v.conj().swapaxes(-1, -2)
+            worst_rec = max(worst_rec, _worst((v * w[..., None, :]) @ vh - h))
+            worst_unit = max(worst_unit, _worst(vh @ v - np.eye(h.shape[-1])))
+            root = sqrt_psd(p)
+            worst_sqrt = max(worst_sqrt, _worst(root @ root - p))
     res.dev(f"eig reconstruction over {n} Hermitian (dims 2, 4)", worst_rec, 1e-10)
     res.dev("eigenvector unitarity", worst_unit, 1e-10)
     res.dev(f"sqrt squaring error over {n} PSD", worst_sqrt, 1e-9)
     return res
 
 
-def _bd_pattern(c1: float, c2: float, c3: float, label: str) -> np.ndarray:
-    diag, anti = {
-        "a1": (c3, (c1 - c2, c1 + c2)),
-        "a2": (c1, (c3 - c2, c3 + c2)),
-        "a3": (c2, (c3 - c1, c3 + c1)),
-    }[label]
-    out, inn = anti
-    return 0.25 * np.array(
-        [
-            [1 + diag, 0, 0, out],
-            [0, 1 - diag, inn, 0],
-            [0, inn, 1 - diag, 0],
-            [out, 0, 0, 1 + diag],
-        ],
-        dtype=complex,
-    )
-
-
 def _xz_pattern(r: float, s: float, c1: float, c2: float, c3: float, label: str) -> np.ndarray:
+    """The z-polarized X state in basis ``label``, entry by entry; at
+    r = s = 0 it is the Bell-diagonal state's pattern."""
     if label == "a1":
         return 0.25 * np.array(
             [
@@ -197,50 +201,42 @@ def suite_bases(rng: np.random.Generator, samples: int | None = None) -> SuiteRe
     res.dev("qubit MUB unbiasedness deviation", verify_mub(mubs).max_deviation, 1e-14)
     res.dev("tensor-squared AMUB deviation", verify_amub(amub_from_mubs(mubs)).max_deviation, 1e-14)
 
-    spots_bd = [(0.3, -0.2, 0.5), (-0.5, 0.25, 0.25), (0.0, 0.0, -1.0)]
-    worst = 0.0
-    for c in spots_bd:
-        rho = bell_diagonal(BellDiagonalParams(*c))
-        for lab in ("a1", "a2", "a3"):
-            got = represent_in_basis(rho, amub_basis(lab))
-            worst = max(worst, float(np.abs(got - _bd_pattern(*c, lab)).max()))
-    res.dev("Bell-diagonal basis matrices vs analytic pattern", worst, 1e-12)
+    bd_spots = [(0.3, -0.2, 0.5), (-0.5, 0.25, 0.25), (0.0, 0.0, -1.0)]
+    xz_spots = [(0.2, -0.1, 0.3, -0.2, 0.5), (0.1, 0.1, 0.2, 0.1, 0.3)]
+    families = (
+        ("Bell-diagonal", [(bell_diagonal(BellDiagonalParams(*c)), (0.0, 0.0, *c)) for c in bd_spots]),
+        ("X-state", [(x_state_z(XStateZParams(*x)), x) for x in xz_spots]),
+    )
+    for family, spots in families:
+        worst = 0.0
+        for rho, x in spots:
+            for lab in AMUB_LABELS:
+                got = represent_in_basis(rho, amub_basis(lab))
+                worst = max(worst, float(np.abs(got - _xz_pattern(*x, lab)).max()))
+        res.dev(f"{family} basis matrices vs analytic pattern", worst, 1e-12)
 
-    spots_xz = [(0.2, -0.1, 0.3, -0.2, 0.5), (0.1, 0.1, 0.2, 0.1, 0.3)]
-    worst = 0.0
-    for r, s, c1, c2, c3 in spots_xz:
-        rho = x_state_z(XStateZParams(r, s, c1, c2, c3))
-        for lab in ("a1", "a2", "a3"):
-            got = represent_in_basis(rho, amub_basis(lab))
-            worst = max(worst, float(np.abs(got - _xz_pattern(r, s, c1, c2, c3, lab)).max()))
-    res.dev("X-state basis matrices vs analytic pattern", worst, 1e-12)
-
+    # Drawn a chunk at a time: the block sampler consumes the generator as
+    # one draw of all n rows would.
     n = samples or 200
     worst_spec = worst_coh = 0.0
-    for c in random_bell_params(rng, n // 2):
-        rho = bell_diagonal(BellDiagonalParams(*c))
-        for lab in ("a1", "a2", "a3"):
-            basis = amub_basis(lab)
-            rotated = represent_in_basis(rho, basis)
-            worst_spec = max(
-                worst_spec,
-                float(np.abs(np.linalg.eigvalsh(rotated) - rho.eigenvalues()).max()),
-            )
-            worst_coh = max(worst_coh, abs(coherence(DensityMatrix(rotated)) - coherence(rho, basis)))
+    for ks in _chunks(n // 2):
+        m = _bd_matrix(*random_bell_params(rng, len(ks)).T[..., None, None])
+        spectrum = np.linalg.eigvalsh(m)
+        for lab, in_basis in zip(AMUB_LABELS, _numeric(_state_roots(m))):
+            rotated = represent_in_basis(m, amub_basis(lab))
+            worst_spec = max(worst_spec, _worst(np.linalg.eigvalsh(rotated) - spectrum))
+            worst_coh = max(worst_coh, _worst(_coherence_values(_state_roots(rotated), EYE4) - in_basis))
     res.dev("spectrum preserved under change of basis", worst_spec, 1e-10)
     res.dev("coherence via rotated state equals coherence in basis", worst_coh, 1e-10)
 
     worst_rt = 0.0
-    for c in random_bell_params(rng, samples or 1000):
-        got = correlation_coefficients(bell_diagonal(BellDiagonalParams(*c)))
-        worst_rt = max(worst_rt, max(abs(g - w) for g, w in zip(got, c)))
+    for ks in _chunks(samples or 1000):
+        c = random_bell_params(rng, len(ks))
+        m = _bd_matrix(*c.T[..., None, None])
+        _state_roots(m)
+        worst_rt = max(worst_rt, _worst(_pauli_traces(m, PAULI_PAIRS) - c))
     res.dev("correlation-coefficient round trip", worst_rt, 1e-12)
     return res
-
-
-def _worst(deviations: np.ndarray) -> float:
-    """The largest absolute deviation; NaN if any deviation is NaN."""
-    return float(np.abs(deviations).max())
 
 
 def _numeric(roots: np.ndarray) -> list[np.ndarray]:
@@ -331,32 +327,34 @@ def suite_xz(rng: np.random.Generator, samples: int | None = None) -> SuiteResul
 def suite_coefficient_table(rng: np.random.Generator, samples: int | None = None) -> SuiteResult:
     n = samples or 200
     res = SuiteResult("coefficient-table")
+    # Every coefficient row is drawn before any p: the report depends on that order.
+    c = random_bell_params(rng, n)
+    p = rng.uniform(0.0, 1.0, size=n)
     worst_map = worst_bloch = 0.0
-    for c in random_bell_params(rng, n):
-        prm = BellDiagonalParams(*c)
-        p = float(rng.uniform(0.0, 1.0))
+    for ks in _chunks(n):
+        c_k, p_k = c[ks.start : ks.stop].T, p[ks.start : ks.stop]
+        m = _bd_matrix(*c_k[..., None, None])
+        _state_roots(m)
         for kind in ch.CHANNEL_KINDS:
-            channel = ch.channel_as_kraus(kind, p)
-            moved = ch.apply_product_channel(channel, bell_diagonal(prm))
-            got = correlation_coefficients(moved)
-            want = ch.predicted_coefficients(kind, prm, p).triple
-            worst_map = max(worst_map, max(abs(g - w) for g, w in zip(got, want)))
-            r_vec, s_vec = local_bloch_vectors(moved)
-            worst_bloch = max(worst_bloch, float(np.abs(r_vec).max()), float(np.abs(s_vec).max()))
+            products = np.array([ch.channel_as_kraus(kind, x)._products for x in p_k.tolist()])
+            moved = ch._apply_products(products, m)
+            _state_roots(moved)
+            want = np.stack(ch.predicted_coefficient_grid(kind, *c_k, p_k), axis=-1)
+            worst_map = max(worst_map, _worst(_pauli_traces(moved, PAULI_PAIRS) - want))
+            bloch = [_pauli_traces(moved, ops) for ops in (LOCAL_PAULIS_A, LOCAL_PAULIS_B)]
+            worst_bloch = max(worst_bloch, *map(_worst, bloch))
     res.dev(f"coefficient map vs Kraus evolution over {n} draws x 4 channels", worst_map, 1e-12)
     res.dev("Bell-diagonal form preserved (max local Bloch component)", worst_bloch, 1e-12)
 
     # GAD away from mixing 1/2: the declarative map is not claimed there,
     # so the deviation is reported rather than asserted.
     probe = BellDiagonalParams(-0.2, 0.6, 0.6)
-    worst_off = 0.0
-    for p_mix in (0.2, 0.8):
-        for strength in (0.3, 0.7):
-            off = ch.make_channel("GAD", p_mix, gamma=strength)
-            moved = ch.apply_product_channel(off, bell_diagonal(probe))
-            got = correlation_coefficients(moved)
-            want = ch.predicted_coefficients("GAD", probe, strength).triple
-            worst_off = max(worst_off, max(abs(g - w) for g, w in zip(got, want)))
+    strengths = np.array([0.3, 0.7, 0.3, 0.7])
+    products = np.array([ch.make_channel("GAD", mix, gamma=g)._products for mix in (0.2, 0.8) for g in (0.3, 0.7)])
+    moved = ch._apply_products(products, bell_diagonal(probe).matrix)
+    _state_roots(moved)
+    want = np.stack(ch.predicted_coefficient_grid("GAD", *probe.triple, strengths), axis=-1)
+    worst_off = _worst(_pauli_traces(moved, PAULI_PAIRS) - want)
     res.warnings.append(
         f"GAD coefficient map checked only at mixing 1/2; away from it the map deviates by up to {worst_off:.3e}"
     )
@@ -366,18 +364,25 @@ def suite_coefficient_table(rng: np.random.Generator, samples: int | None = None
 def suite_cptp(rng: np.random.Generator, samples: int | None = None) -> SuiteResult:
     n = samples or 500
     res = SuiteResult("cptp")
-    worst_trace = 0.0
-    worst_eig = 0.0
-    kinds = list(ch.CHANNEL_KINDS)
-    for k in range(n):
-        rho = random_density(rng, 4)
-        kind = kinds[k % len(kinds)]
-        p = float(rng.uniform(0.0, 1.0))
-        gamma = float(rng.uniform(0.0, 1.0)) if kind == "GAD" else None
-        channel = ch.make_channel(kind, p, gamma)
-        moved = ch.apply_product_channel(channel, rho)
-        worst_trace = max(worst_trace, abs(np.trace(moved.matrix).real - 1.0))
-        worst_eig = max(worst_eig, max(0.0, -float(moved.eigenvalues()[0])))
+    worst_trace = worst_eig = 0.0
+    kinds = ch.CHANNEL_KINDS
+    for ks in _chunks(n):
+        psds, products = [], []
+        for k in ks:
+            psds.append(random_psd(rng, 4))
+            kind = kinds[k % len(kinds)]
+            p = float(rng.uniform(0.0, 1.0))
+            gamma = float(rng.uniform(0.0, 1.0)) if kind == "GAD" else None
+            products.append(ch.make_channel(kind, p, gamma)._products)
+        m = np.array(psds)
+        m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+        _state_roots(m)
+        # Kinds cycle, so every fourth draw of a chunk is one stack.
+        for j in range(min(len(kinds), len(ks))):
+            moved = ch._apply_products(np.array(products[j :: len(kinds)]), m[j :: len(kinds)])
+            _state_roots(moved)
+            worst_trace = max(worst_trace, _worst(np.trace(moved, axis1=-2, axis2=-1).real - 1.0))
+            worst_eig = max(worst_eig, _worst(np.minimum(np.linalg.eigvalsh(moved)[:, 0], 0.0)))
     res.dev(f"trace preservation over {n} random states", worst_trace, 1e-12)
     res.dev("negative-eigenvalue excursion", worst_eig, 1e-10)
     return res

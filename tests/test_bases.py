@@ -101,12 +101,22 @@ class TestRepresentInBasis:
         rho = werner(0.7)
         for label in AMUB_LABELS:
             rotated = represent_in_basis(rho, amub_basis(label))
-            assert np.abs(np.linalg.eigvalsh(rotated) - rho.eigenvalues()).max() < 1e-10
+            assert np.abs(np.linalg.eigvalsh(rotated) - np.linalg.eigvalsh(rho.matrix)).max() < 1e-10
             assert np.trace(rotated) == pytest.approx(1.0, abs=1e-12)
+
+    def test_stack_equals_per_state(self):
+        stack = np.array([werner(p).matrix for p in (0.0, 0.3, 0.7, 1.0)])
+        for label in AMUB_LABELS:
+            basis = amub_basis(label)
+            rotated = represent_in_basis(stack, basis)
+            assert rotated.shape == stack.shape
+            assert all(np.array_equal(r, represent_in_basis(m, basis)) for r, m in zip(rotated, stack))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             represent_in_basis(werner(0.5), computational_basis(2))
+        with pytest.raises(ValueError, match="mismatch"):
+            represent_in_basis(np.eye(4)[None, :3], computational_basis(4))
 
 
 def test_unknown_basis_label():

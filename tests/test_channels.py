@@ -11,6 +11,7 @@ from skewcoh.channels import (
     dynamics_curve,
     gad_reduced,
     make_channel,
+    predicted_coefficient_grid,
     predicted_coefficients,
 )
 from skewcoh.coherence import coherence
@@ -122,6 +123,26 @@ class TestPredictedCoefficients:
     def test_bpf_at_one(self):
         c = BellDiagonalParams(0.4, -0.2, 0.3)
         assert predicted_coefficients("BPF", c, 1.0).triple == pytest.approx((0.0, -0.2, 0.0))
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_grid_over_p_is_the_scalar_map_per_element(self, kind):
+        # About one uniform p in 1200 has a Python float (1 - p) ** 2 that
+        # differs from the exact square numpy takes of an array.
+        rng = np.random.default_rng(31)
+        c1, c2, c3 = (rng.uniform(-1.0, 1.0, size=10_000) for _ in range(3))
+        p = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=9_998)])
+        grid = predicted_coefficient_grid(kind, c1, c2, c3, p)
+        scalar = [predicted_coefficient_grid(kind, *args) for args in zip(c1, c2, c3, p.tolist())]
+        assert np.array_equal(np.stack(grid, axis=-1), np.array(scalar))
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 1e-15, np.nan])
+    def test_grid_rejects_one_bad_p(self, bad):
+        p = np.linspace(0.0, 1.0, 11)
+        p[7] = bad
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            predicted_coefficient_grid("BF", 0.1, 0.2, 0.3, p)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            predicted_coefficient_grid("BF", 0.1, 0.2, 0.3, float(bad))
 
     def test_powers_table_shape(self):
         assert set(COEFFICIENT_POWERS) == set(CHANNEL_KINDS)

@@ -310,6 +310,20 @@ class TestVerifyCommand:
         assert "invalid choice" in err
 
 
+@pytest.mark.parametrize("points", [0, cli.MAX_POINTS + 1])
+@pytest.mark.parametrize(
+    "argv",
+    [("coherence", "--family", "werner", "--grid"), ("dynamics", "--c=-0.2,0.6,0.6", "--points")],
+)
+def test_curve_points_outside_cap_exit_2_before_writing(capsys, tmp_path, argv, points):
+    out_dir = tmp_path / "curves"
+    code, out, err = run(capsys, *argv, str(points), "--out", str(out_dir))
+    assert code == cli.EXIT_BAD_ARGS
+    assert out == ""
+    assert f"{argv[-1]} must be in [1, {cli.MAX_POINTS}], got {points}" in err
+    assert not out_dir.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "surface.cfg"

@@ -2,27 +2,40 @@
 
 ``apply_product_channel`` contracts over the Kraus products stacked when
 the channel is built; the per-pair ``kron`` loop it replaced is kept here
-as the reference.  ``sqrt_psd`` keeps the arithmetic of the
-``hermitian_eig``-based root and ``_xz_matrix``/``local_bloch_vectors``
-use hoisted Pauli products, so those three must agree bit for bit.  On a
-stack of states, the roots, the coherence kernel and the state matrices
-must equal the per-state results bit for bit.
+as the reference.  ``sqrt_psd`` keeps the arithmetic of a plain
+``np.linalg.eigh`` root and ``_xz_matrix``/``local_bloch_vectors`` use
+hoisted Pauli products, so those three must agree bit for bit.  On a
+stack of states, the roots, the coherence kernel, the state matrices, the
+channel kernel and the Pauli read-back kernel must equal the per-state
+results bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from skewcoh.bases import AMUB_LABELS, amub_basis
-from skewcoh.channels import CHANNEL_KINDS, KrausChannel, apply_product_channel, channel_as_kraus, make_channel
+from skewcoh.channels import (
+    CHANNEL_KINDS,
+    KrausChannel,
+    _apply_products,
+    apply_product_channel,
+    channel_as_kraus,
+    make_channel,
+)
 from skewcoh.coherence import _coherence_values, coherence
-from skewcoh.linalg import EYE2, PSD_FLOOR, SIGMA1, SIGMA2, SIGMA3, dagger, hermitian_eig, sqrt_psd
+from skewcoh.linalg import EYE2, PSD_FLOOR, SIGMA1, SIGMA2, SIGMA3, dagger, require_hermitian, sqrt_psd
 from skewcoh.states import (
+    LOCAL_PAULIS_A,
+    LOCAL_PAULIS_B,
+    PAULI_PAIRS,
     BellDiagonalParams,
     DensityMatrix,
     _bd_matrix,
+    _pauli_traces,
     _state_roots,
     _xz_matrix,
     bell_diagonal,
+    correlation_coefficients,
     local_bloch_vectors,
 )
 from skewcoh.verify import random_bell_params, random_density, random_xz_params
@@ -41,13 +54,11 @@ def reference_product_channel(channel, m):
 
 
 def reference_sqrt_psd(a, floor=PSD_FLOOR):
-    dec = hermitian_eig(a)
-    w = dec.eigenvalues
+    w, v = np.linalg.eigh(a)
     if w.size and w[0] < floor:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < {floor:.1e}")
     noise = w.size * np.finfo(float).eps * max(float(w[-1]), 0.0) if w.size else 0.0
     w = np.where(w <= noise, 0.0, w)
-    v = dec.eigenvectors
     root = (v * np.sqrt(w)) @ v.conj().T
     return 0.5 * (root + root.conj().T)
 
@@ -140,7 +151,7 @@ NON_PSD = np.diag([1.1, -0.1]).astype(complex)
 
 
 def test_non_hermitian_rejected():
-    for solve in (sqrt_psd, hermitian_eig):
+    for solve in (sqrt_psd, require_hermitian):
         with pytest.raises(ValueError, match="hermiticity defect"):
             solve(NON_HERMITIAN)
     with pytest.raises(ValueError, match="^not a state: .*hermiticity defect"):
@@ -238,3 +249,56 @@ def test_empty_stacks():
     roots = _state_roots(empty)
     assert roots.shape == (0, 4, 4)
     assert _coherence_values(roots, amub_basis("a1").vectors).shape == (0,)
+
+
+def channel_states():
+    """Full-rank states and Bell-diagonal states, as one stack and one by one."""
+    states = full_rank_states(23, 30)
+    states += [bell_diagonal(BellDiagonalParams(*c)) for c in random_bell_params(np.random.default_rng(24), 10)]
+    return np.array([rho.matrix for rho in states]), states
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_stacked_channel_application_equals_per_state(kind):
+    stack, states = channel_states()
+    for p in (0.0, 0.05, 0.37, 0.5, 0.91, 1.0):
+        channel = channel_as_kraus(kind, p)
+        moved = _apply_products(channel._products, stack)
+        assert moved.shape == stack.shape
+        for m, rho in zip(moved, states):
+            assert np.array_equal(m, apply_product_channel(channel, rho).matrix)
+
+
+def test_stack_of_channels_equals_per_state():
+    # GAD with independent (p, gamma), endpoints included: one channel per
+    # state, paired along the leading axis as the cptp suite pairs them.
+    stack, states = channel_states()
+    grid = [(p, gamma) for p in (0.0, 0.2, 0.5, 0.83, 1.0) for gamma in (0.0, 0.3, 0.64, 1.0)]
+    channels = [make_channel("GAD", *grid[i % len(grid)]) for i in range(len(states))]
+    moved = _apply_products(np.array([channel._products for channel in channels]), stack)
+    for m, channel, rho in zip(moved, channels, states):
+        assert np.array_equal(m, apply_product_channel(channel, rho).matrix)
+
+
+def test_stacked_read_back_equals_per_state():
+    stack, states = channel_states()
+    pairs = _pauli_traces(stack, PAULI_PAIRS)
+    local_a = _pauli_traces(stack, LOCAL_PAULIS_A)
+    local_b = _pauli_traces(stack, LOCAL_PAULIS_B)
+    assert pairs.shape == local_a.shape == local_b.shape == (len(states), 3)
+    for c, r, s, rho in zip(pairs, local_a, local_b, states):
+        assert tuple(float(x) for x in c) == correlation_coefficients(rho)
+        r_vec, s_vec = local_bloch_vectors(rho)
+        assert np.array_equal(r, r_vec) and np.array_equal(s, s_vec)
+
+
+def test_read_back_rejects_one_large_imaginary_trace():
+    stack, _ = channel_states()
+    assert _pauli_traces(stack, PAULI_PAIRS).shape == (len(stack), 3)
+    stack[17] = np.eye(4) / 4 + 1e-6j * PAULI_PAIRS[0]
+    with pytest.raises(ValueError, match="imaginary part 4.000e-06"):
+        _pauli_traces(stack, PAULI_PAIRS)
+    with pytest.raises(ValueError, match="imaginary part"):
+        correlation_coefficients(stack[17])
+    with pytest.raises(ValueError, match="imaginary part"):
+        local_bloch_vectors(np.eye(4) / 4 + 1e-6j * LOCAL_PAULIS_B[1])

@@ -84,7 +84,7 @@ class TestXStateZ:
 
 class TestWerner:
     def test_singlet_limit(self):
-        assert np.allclose(werner(0.0).eigenvalues(), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(np.linalg.eigvalsh(werner(0.0).matrix), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_coefficients_at_p1(self):
         assert np.allclose(correlation_coefficients(werner(1.0)), (-0.25, -0.25, -0.25))
@@ -159,5 +159,5 @@ class TestDensityMatrixValidation:
     @given(valid_bell_params())
     def test_constructors_validate(self, params):
         rho = bell_diagonal(params)
-        assert rho.eigenvalues()[0] >= -1e-10
+        assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
         assert abs(np.trace(rho.matrix) - 1) <= 1e-10

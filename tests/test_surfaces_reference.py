@@ -458,10 +458,11 @@ def test_integer_fields_match_per_row_formatting_at_digit_boundaries(tmp_path):
 def test_writing_the_largest_figure_mesh_is_chunked():
     # bd-sum at level 0.2 is the largest figure mesh at 101^3: 78,306
     # vertices and 154,212 triangles, 5.6 MB of arrays.  Writing it one
-    # chunk at a time peaks at 1.2 times that, most of it the 1-based copy
-    # of the triangles; building the whole file at once peaked at 3 times.
+    # chunk at a time, with the 1-based offset added per chunk, peaks at
+    # 0.5 times that; a whole-mesh 1-based copy of the triangles peaked at
+    # 1.2 times, and building the whole file at once at 3 times.
     mesh = extract_isosurface(sample_bd_field("sum", 101), 0.2)
-    budget = 1.5 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
+    budget = 0.75 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
     tracemalloc.start()
     try:
         write_obj(mesh, os.devnull)

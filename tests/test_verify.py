@@ -2,12 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skewcoh import cli
+from skewcoh import cli, verify
 from skewcoh.states import _xz_margins, tetrahedron_margins
 from skewcoh.verify import (
     ALL_SUITES,
@@ -124,6 +125,24 @@ def test_coefficient_suite_reports_gad_limitation():
     assert any("mixing 1/2" in w for w in result.warnings)
 
 
+@pytest.mark.parametrize("name", ["linalg", "bases", "coefficient-table", "cptp"])
+def test_chunked_suites_hold_one_chunk_of_states(name, monkeypatch):
+    # With 16-state chunks, 800 samples peak near 0.4 MB in coefficient-table
+    # and below 0.15 MB in the other three; evaluated as one stack they took
+    # 1.4 MB (linalg, bases) to 13.6 MB (coefficient-table).
+    monkeypatch.setattr(verify, "CHUNK_STATES", 16)
+    suite = ALL_SUITES[name]
+    suite(np.random.default_rng(0), 4)  # first-call allocations are not per state
+    tracemalloc.start()
+    try:
+        result = suite(np.random.default_rng(0), 800)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 1_000_000
+
+
 def test_same_seed_same_report():
     r1 = format_report(run_suites(names=["closed-forms"], seed=99, samples=60))
     r2 = format_report(run_suites(names=["closed-forms"], seed=99, samples=60))
@@ -131,8 +150,10 @@ def test_same_seed_same_report():
 
 
 # sha256 of the `skewcoh verify` stdout and stderr, recorded from the
-# per-state suites before the closed-forms, werner, isotropic and xz-states
-# suites were rewritten over stacked arrays.
+# per-state suites before they were rewritten over stacked arrays: the
+# first two entries before the closed-forms, werner, isotropic and
+# xz-states suites, the others before linalg, bases, coefficient-table and
+# cptp.
 REPORT_HASHES = json.loads(Path(__file__).with_name("verify_report_hashes.json").read_text())
 
 
