@@ -3,8 +3,9 @@
 
 Writes, under the output directory:
   - level-set meshes of the Bell-diagonal coherence field in basis a1 and
-    of the three-basis sum (levels 0.05, 0.2, and the unreachable 1.0,
-    which documents the 1/2 and 3/2 caps by producing empty meshes);
+    of the three-basis sum at levels 0.05, 0.2 and 1.0; the a1 mesh at 1.0
+    is empty, which documents the a1 cap of 1/2, while the sum, capped at
+    3/2, still has a level-1.0 mesh;
   - Werner and isotropic coherence curves on 101-point grids;
   - z-polarized X-state meshes for r = s in {0.1, 0.3} at levels 0.1, 0.5;
   - channel-output coherence meshes for BF/PF/BPF/GAD at
@@ -13,7 +14,9 @@ Writes, under the output directory:
     c = (-0.2, 0.6, 0.6) and c = (-0.6, 0.2, 0.2).
 
 Everything goes through the CLI so the file layout matches what a user
-would get by hand; rerunning reproduces every file byte for byte.
+would get by hand; rerunning reproduces every file byte for byte.  The
+CLI keeps the field of the last surface step, so consecutive steps on one
+field reuse one sampled field: the 26 surface steps sample 14 fields.
 """
 
 import argparse

@@ -57,6 +57,12 @@ BD_FIELDS = ("bd-a1", "bd-a2", "bd-a3", "bd-sum")
 XZ_FIELDS = ("xz-a1", "xz-sum")
 CHANNEL_FIELDS = tuple(f"channel:{k}" for k in CHANNEL_KINDS)
 
+# The field of the last `surface` step, keyed by (field, r, s, p,
+# resolution).  Steps that cut one field at several levels (as the figure
+# script does) sample it once; the field is frozen, so sharing it is safe.
+# At most one field is held, about 220 MB at sf.MAX_RESOLUTION.
+_last_field: dict[tuple, sf.ScalarField3D] = {}
+
 # The per-state flags each coherence family and surface field takes.  Each
 # is required there, and any other one given is an error, not ignored.
 _STATE_FLAGS = {
@@ -67,6 +73,15 @@ _STATE_FLAGS = {
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
+
+
+def _float(text: str) -> float:
+    """A float flag with -0.0 folded into 0.0, so that one value gets one
+    file name and one field-store key."""
+    return float(text) + 0.0
+
+
+_float.__name__ = "float"  # argparse's "invalid float value" names the type
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
@@ -170,14 +185,21 @@ def cmd_surface(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown field {field_name!r}; expected one of {BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS}")
     _check_flags(args, _STATE_FLAGS[field_name], f"field {field_name}")
     slug = field_name.replace(":", "-")
-    if field_name in BD_FIELDS:
-        field = sf.sample_bd_field(field_name.removeprefix("bd-"), args.resolution)
-    elif field_name in XZ_FIELDS:
-        field = sf.sample_xz_field(args.r, args.s, field_name.removeprefix("xz-"), args.resolution)
+    if field_name in XZ_FIELDS:
         slug += f"_r{args.r:g}_s{args.s:g}"
-    else:
-        field = sf.sample_channel_field(field_name.removeprefix("channel:"), args.p, args.resolution)
+    elif field_name in CHANNEL_FIELDS:
         slug += f"_p{args.p:g}"
+    key = (field_name, args.r, args.s, args.p, args.resolution)
+    field = _last_field.get(key)
+    if field is None:
+        _last_field.clear()  # before sampling: a miss never holds two fields
+        if field_name in BD_FIELDS:
+            field = sf.sample_bd_field(field_name.removeprefix("bd-"), args.resolution)
+        elif field_name in XZ_FIELDS:
+            field = sf.sample_xz_field(args.r, args.s, field_name.removeprefix("xz-"), args.resolution)
+        else:
+            field = sf.sample_channel_field(field_name.removeprefix("channel:"), args.p, args.resolution)
+        _last_field[key] = field
 
     mesh = sf.extract_isosurface(field, args.level)
     if field.physical_fraction() == 0.0:
@@ -228,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("coherence", allow_abbrev=False, help="evaluate the coherence of one state")
     pc.add_argument("--family", choices=("bell", "werner", "isotropic", "xz"), required=True)
     pc.add_argument("--c", type=_parse_triple, help="correlation coefficients c1,c2,c3")
-    pc.add_argument("--p", type=float, help="werner parameter")
-    pc.add_argument("--F", type=float, help="isotropic fidelity")
-    pc.add_argument("--r", type=float, help="first local z component")
-    pc.add_argument("--s", type=float, help="second local z component")
+    pc.add_argument("--p", type=_float, help="werner parameter")
+    pc.add_argument("--F", type=_float, help="isotropic fidelity")
+    pc.add_argument("--r", type=_float, help="first local z component")
+    pc.add_argument("--s", type=_float, help="second local z component")
     pc.add_argument("--basis", choices=("a1", "a2", "a3"), default="a1")
     pc.add_argument("--grid", type=int, help="sample a parameter curve with this many points instead")
     pc.add_argument("--compare", action="store_true", help="also print l1 and relative-entropy values")
@@ -242,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("surface", allow_abbrev=False, help="export a constant-coherence mesh")
     ps.add_argument("--field", required=True, help=f"one of {BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS}")
-    ps.add_argument("--level", type=float, required=True)
-    ps.add_argument("--p", type=float, help="channel parameter for channel fields")
-    ps.add_argument("--r", type=float, help="first local z component for xz fields")
-    ps.add_argument("--s", type=float, help="second local z component for xz fields")
+    ps.add_argument("--level", type=_float, required=True)
+    ps.add_argument("--p", type=_float, help="channel parameter for channel fields")
+    ps.add_argument("--r", type=_float, help="first local z component for xz fields")
+    ps.add_argument("--s", type=_float, help="second local z component for xz fields")
     ps.add_argument("--resolution", type=int, default=101)
     ps.add_argument("--format", choices=("obj", "ply"), default="obj")
     ps.add_argument("--field-csv", action="store_true", help="also export the sampled field as CSV")

@@ -49,9 +49,13 @@ class ScalarField3D:
         if values.shape != (axis.size,) * 3:
             raise ValueError(f"values shape {values.shape} does not match axis length {axis.size}")
         # NaN is the only non-physical marker; an infinity is out of range.
-        physical = values[~np.isnan(values)]
-        if physical.size and (physical.min() < 0.0 or physical.max() > FIELD_CAP):
-            raise ValueError(f"field values outside [0, {FIELD_CAP}]: [{physical.min()}, {physical.max()}]")
+        # fmin/fmax skip NaN without copying the physical values; the NaN
+        # initial value is their identity, so an all-NaN or empty field gives
+        # NaN bounds, which no comparison rejects.
+        lo = np.fmin.reduce(values, axis=None, initial=np.nan)
+        hi = np.fmax.reduce(values, axis=None, initial=np.nan)
+        if lo < 0.0 or hi > FIELD_CAP:
+            raise ValueError(f"field values outside [0, {FIELD_CAP}]: [{lo}, {hi}]")
         axis.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "axis", axis)

@@ -1,3 +1,6 @@
+import math
+import weakref
+
 import numpy as np
 import pytest
 
@@ -241,6 +244,94 @@ class TestSurfaceCommand:
         code, out, _ = run(capsys, "surface", "--field", "bd-a1", "--level", "0.2", "--resolution", "21")
         assert code == 0
         assert (tmp_path / "surface_bd-a1_level0.2.obj").exists()
+
+
+class TestSurfaceFieldStore:
+    """Consecutive `surface` steps on one field sample it once."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """The arguments of every `cli.sf.sample_*` call, starting from an empty store."""
+        monkeypatch.setattr(cli, "_last_field", {})
+        calls = []
+        for name in ("sample_bd_field", "sample_xz_field", "sample_channel_field"):
+            def counted(*args, real=getattr(cli.sf, name)):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(cli.sf, name, counted)
+        return calls
+
+    def test_two_levels_sample_once_and_match_fresh_steps(self, capsys, tmp_path, sampled):
+        args = ("surface", "--field", "bd-sum", "--resolution", "21")
+        names = ("surface_bd-sum_level0.05.obj", "surface_bd-sum_level0.2.obj")
+        for level in ("0.05", "0.2"):
+            assert run(capsys, *args, "--level", level, "--out", str(tmp_path / "stored"))[0] == 0
+        assert sampled == [("sum", 21)]
+        for level in ("0.05", "0.2"):
+            cli._last_field.clear()
+            assert run(capsys, *args, "--level", level, "--out", str(tmp_path / "fresh"))[0] == 0
+        assert len(sampled) == 3
+        for name in names:
+            assert (tmp_path / "stored" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["--field", "bd-a1"], ["--field", "bd-a2"]),
+            (["--field", "xz-a1", "--r", "0.1", "--s", "0.1"], ["--field", "xz-sum", "--r", "0.1", "--s", "0.1"]),
+            (["--field", "xz-a1", "--r", "0.1", "--s", "0.1"], ["--field", "xz-a1", "--r", "0.3", "--s", "0.1"]),
+            (["--field", "xz-a1", "--r", "0.1", "--s", "0.1"], ["--field", "xz-a1", "--r", "0.1", "--s", "0.3"]),
+            (["--field", "channel:BF", "--p", "0.05"], ["--field", "channel:BF", "--p", "0.6"]),
+            (["--field", "channel:BF", "--p", "0.05"], ["--field", "channel:PF", "--p", "0.05"]),
+            (["--field", "bd-a1"], ["--field", "bd-a1", "--resolution", "13"]),
+        ],
+        ids=["bd-measure", "xz-measure", "r", "s", "p", "channel-kind", "resolution"],
+    )
+    def test_another_key_samples_again(self, capsys, tmp_path, sampled, first, second):
+        for argv in (first, second, first):
+            code, _, _ = run(capsys, "surface", "--level", "0.05", "--resolution", "11", *argv, "--out", str(tmp_path))
+            assert code == 0
+        assert len(sampled) == 3
+        assert len(cli._last_field) == 1
+
+    def test_failed_sampling_leaves_the_store_empty(self, capsys, tmp_path, sampled):
+        bd = ("surface", "--field", "bd-a1", "--level", "0.05", "--resolution", "11", "--out", str(tmp_path))
+        assert run(capsys, *bd)[0] == 0
+        code, _, _ = run(
+            capsys, "surface", "--field", "xz-a1", "--r", "nan", "--s", "0", "--level", "0.05",
+            "--resolution", "11", "--out", str(tmp_path),
+        )
+        assert code == cli.EXIT_BAD_ARGS
+        assert cli._last_field == {}
+        assert run(capsys, *bd)[0] == 0
+        assert len(sampled) == 3
+
+    def test_previous_field_released_before_sampling(self, capsys, tmp_path, sampled, monkeypatch):
+        args = ("--level", "0.05", "--resolution", "11", "--out", str(tmp_path))
+        assert run(capsys, "surface", "--field", "bd-a1", *args)[0] == 0
+        previous = weakref.ref(*cli._last_field.values())
+        alive = []
+
+        def sampler(*sample_args, real=cli.sf.sample_bd_field):
+            alive.append(previous() is not None)
+            return real(*sample_args)
+
+        monkeypatch.setattr(cli.sf, "sample_bd_field", sampler)
+        assert run(capsys, "surface", "--field", "bd-a2", *args)[0] == 0
+        assert alive == [False]
+
+    def test_negative_zero_flags_fold_into_zero(self, capsys, tmp_path, sampled):
+        args = ("surface", "--field", "xz-a1", "--resolution", "11")
+        code, out, _ = run(capsys, *args, "--r", "-0.0", "--s", "-0", "--level", "-0.0", "--out", str(tmp_path / "neg"))
+        assert code == 0
+        assert out.strip().endswith("surface_xz-a1_r0_s0_level0.obj")
+        ((_, r, s, _, _),) = cli._last_field
+        assert math.copysign(1.0, r) == math.copysign(1.0, s) == 1.0
+        assert run(capsys, *args, "--r", "0", "--s", "0", "--level", "0", "--out", str(tmp_path / "pos"))[0] == 0
+        assert len(sampled) == 1
+        name = "surface_xz-a1_r0_s0_level0.obj"
+        assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "pos" / name).read_bytes()
 
 
 class TestDynamicsCommand:

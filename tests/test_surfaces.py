@@ -305,14 +305,27 @@ class TestMeshValidation:
 
     def test_field_cap_enforced(self):
         axis = np.linspace(-1, 1, 3)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"outside \[0, 1.500000001\]: \[2.0, 2.0\]"):
             ScalarField3D(axis=axis, values=np.full((3, 3, 3), 2.0), name="bad")
+        values = np.full((3, 3, 3), 0.5)
+        values[0, 2, 1] = -1e-3
+        with pytest.raises(ValueError, match=r"outside \[0, 1.500000001\]: \[-0.001, 0.5\]"):
+            ScalarField3D(axis=axis, values=values, name="bad")
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_values_rejected(self, bad):
         # NaN is the only non-physical marker; extraction would count +inf
         # as above every level
-        values = np.full((3, 3, 3), np.nan)
-        values[1, 1, 1] = bad
-        with pytest.raises(ValueError, match="outside"):
-            ScalarField3D(axis=np.linspace(-1, 1, 3), values=values, name="bad")
+        for background in (np.nan, 0.5, bad):
+            values = np.full((3, 3, 3), background)
+            values[1, 1, 1] = bad
+            with pytest.raises(ValueError, match="outside"):
+                ScalarField3D(axis=np.linspace(-1, 1, 3), values=values, name="bad")
+
+    @pytest.mark.parametrize("resolution", [3, 0])
+    def test_all_nan_field_accepted(self, resolution):
+        # A field with no physical point (or no point at all) is valid; it
+        # extracts to an empty mesh
+        values = np.full((resolution,) * 3, np.nan)
+        field = ScalarField3D(axis=np.linspace(-1, 1, resolution), values=values, name="empty")
+        assert field.resolution == resolution
