@@ -19,7 +19,9 @@ median and quartiles, the pairs the change won, and two verdicts:
   more than the metric's bound, taken relative to the parent's median.
 
 It also records the seed, pair count, run length, the benchmark's
-``correct`` flag of every run, and the Python, NumPy and BLAS versions the
+``correct`` flag of every run, the combined digest of the figure files and
+how many of them changed since the benchmark's seed (the ``# figure files``
+line of the figure workload), and the Python, NumPy and BLAS versions the
 benchmark reports.
 """
 
@@ -39,6 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 SEED = 1234  # benchmark/run.py's default seed
 ENV_LINE = re.compile(r"^# python (?P<python>[^,]+), numpy (?P<numpy>[^,]+), (?P<blas>[^,]+), nproc (?P<nproc>\d+),")
+FIGURE_LINE = re.compile(r"^# figure files: combined sha256 (?P<digest>[0-9a-f]+), (?P<changed>\d+) changed since seed")
 
 
 def _git(*args: str) -> str:
@@ -57,7 +60,9 @@ def export(rev: str, into: Path) -> Path:
 
 
 def run_once(checkout: Path, workload: str, seconds: float) -> dict:
-    """One ``benchmark/run.py`` run: its metric values, ``correct`` flag and environment."""
+    """One ``benchmark/run.py`` run: its metric values, ``correct`` flag,
+    figure-file digest and change count (None for other workloads) and
+    environment."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(SEED), "--seconds", f"{seconds:g}"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -67,8 +72,11 @@ def run_once(checkout: Path, workload: str, seconds: float) -> dict:
     env = next((m.groupdict() for m in map(ENV_LINE.match, lines) if m), {})
     if env:
         env["nproc"] = int(env["nproc"])
+    figure = next((m.groupdict() for m in map(FIGURE_LINE.match, lines) if m), None)
+    if figure:
+        figure["changed"] = int(figure["changed"])
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
-    return {"metrics": metrics, "correct": result["correct"], "environment": env}
+    return {"metrics": metrics, "correct": result["correct"], "figure_files": figure, "environment": env}
 
 
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -120,6 +128,12 @@ def main() -> int:
                     print(f"{workload} pair {pair} {side}: {run['metrics']} correct={run['correct']}", flush=True)
             report["workloads"][workload] = {
                 "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+                # the distinct (digest, changed) readings of each side's runs
+                "figure_files": {
+                    side: [dict(f) for f in sorted({tuple(r["figure_files"].items()) for r in rs})]
+                    for side, rs in runs.items()
+                    if rs[0]["figure_files"]
+                },
                 "metrics": {
                     m["name"]: summarize(
                         [r["metrics"][m["name"]] for r in runs["parent"]],

@@ -88,7 +88,7 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return tuple(_float(p) for p in parts)
 
 
 def _check_flags(args: argparse.Namespace, takes: tuple[str, ...], what: str) -> None:

@@ -12,20 +12,20 @@ cross-check.
 
 Closed forms are provided for the Bell-diagonal family (in each of the
 three tensor-squared reference bases and their sum), its Werner and
-isotropic slices, and the z-polarized X states.  Each closed form has one
-array kernel (``_bd_values``, ``_xz_values``) that marks points outside
-the physical region as NaN; the grid entry points call it on arrays, and
-the scalar entry points make a 0-d call of it on validated parameters.
-The closed forms are validated against the numeric definition by the
-test-suite rather than trusted: the numeric route is normative.
+isotropic slices, and the z-polarized X states.  Both families share one
+array core that roots their four margins under ``sqrt_psd``'s noise rule
+and marks points outside the physical region as NaN; the grid entry
+points call it on arrays, and the scalar entry points make a 0-d call of
+it on validated parameters.  The closed forms are certified against the
+numeric definition at every point of whole grids, not trusted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bases import OrthonormalBasis
-from .linalg import require_hermitian
+from .bases import AMUB_LABELS, OrthonormalBasis
+from .linalg import _noise_bound, require_hermitian
 from .states import (
     TETRA_TOL,
     BellDiagonalParams,
@@ -101,47 +101,50 @@ def coherence_bound(dim: int) -> float:
     return 1.0 - 1.0 / dim
 
 
-# -- Bell-diagonal closed forms ------------------------------------------------
+# -- closed forms --------------------------------------------------------------
 #
-# With m = (m0, m1, m2, m3) the four tetrahedron margins (4x eigenvalues),
-# the coherence in basis a_k is (2 - sqrt of one margin pair - sqrt of the
-# complementary pair) / 4.  Which margins pair up depends on the basis:
-#
-#   a1: (m0 m1) (m2 m3),  a2: (m1 m2) (m0 m3),  a3: (m0 m2) (m1 m3).
+# Both families are given by four margins m_i, each 4x an eigenvalue, so
+# tr(sqrt(rho)) = sum_i sqrt(m_i) / 2.  Summed over the three reference
+# bases only that trace survives: C_sum = 2 - (sum_i sqrt(m_i))^2 / 8.  In
+# one basis a_k, a Bell-diagonal state has C = (2 - sqrt of one margin pair
+# - sqrt of the complementary pair) / 4.
 
-_BD_PAIRS = {"a1": ((0, 1), (2, 3)), "a2": ((1, 2), (0, 3)), "a3": ((0, 2), (1, 3))}
-_BD_LABELS = (*_BD_PAIRS, "sum")
+_BD_TERMS = {
+    "a1": lambda q: 0.25 * (2.0 - q[0] * q[1] - q[2] * q[3]),
+    "a2": lambda q: 0.25 * (2.0 - q[1] * q[2] - q[0] * q[3]),
+    "a3": lambda q: 0.25 * (2.0 - q[0] * q[2] - q[1] * q[3]),
+    "sum": None,
+}
 
 
-def _physical(m):
-    """Elementwise: all four margins are >= -TETRA_TOL."""
-    return (m[0] >= -TETRA_TOL) & (m[1] >= -TETRA_TOL) & (m[2] >= -TETRA_TOL) & (m[3] >= -TETRA_TOL)
+def _closed_values(m, basis_term=None):
+    """The closed-form core over the four margins ``m``, elementwise: the
+    three-basis sum, or ``basis_term(roots)``, clamped at 0; NaN where a
+    margin is below -TETRA_TOL.  A margin at or below ``sqrt_psd``'s noise
+    bound counts as 0, as its eigenvalue does on the numeric route: on a
+    face, sqrt would turn a 2e-16 margin into a 1.5e-8 root."""
+    physical = (m[0] >= -TETRA_TOL) & (m[1] >= -TETRA_TOL) & (m[2] >= -TETRA_TOL) & (m[3] >= -TETRA_TOL)
+    m = np.array(m)  # one (4, ...) stack, rooted in place
+    np.copyto(m, 0.0, where=m <= _noise_bound(m.max(axis=0), 4))
+    roots = np.sqrt(m, out=m)
+    values = 2.0 - roots.sum(axis=0) ** 2 / 8.0 if basis_term is None else basis_term(roots)
+    return np.where(physical, np.maximum(values, 0.0), np.nan)
 
 
 def _bd_values(c1, c2, c3, label: str):
     """The Bell-diagonal kernel: coherence in basis ``label``, or summed over
-    the three bases ('sum'), elementwise; NaN where a margin is below
-    -TETRA_TOL."""
-    if label not in _BD_LABELS:
-        raise ValueError(f"unknown basis label {label!r}; expected one of {_BD_LABELS}")
-    m = tetrahedron_margins(c1, c2, c3)
-    physical = _physical(m)
-    roots = [np.sqrt(np.maximum(x, 0.0)) for x in m]
-    del m  # 33 MB on a 101^3 grid: free it before the products are formed
-
-    def term(pair):
-        (i, j), (k, l) = pair
-        return np.maximum(0.25 * (2.0 - roots[i] * roots[j] - roots[k] * roots[l]), 0.0)
-
-    values = sum(map(term, _BD_PAIRS.values())) if label == "sum" else term(_BD_PAIRS[label])
-    return np.where(physical, values, np.nan)
+    the three bases ('sum'), elementwise; NaN outside the tetrahedron."""
+    if label not in _BD_TERMS:
+        raise ValueError(f"unknown basis label {label!r}; expected one of {tuple(_BD_TERMS)}")
+    return _closed_values(tetrahedron_margins(c1, c2, c3), _BD_TERMS[label])
 
 
 def bd_coherence_values(c1, c2, c3, label: str):
     """Closed-form Bell-diagonal coherence, elementwise over ndarray inputs.
 
     ``label`` is a basis ('a1' | 'a2' | 'a3') or the three-basis sum
-    ('sum').  Points outside the physical tetrahedron (margins below
+    ('sum', in its trace-root form, equal to the sum of the three to
+    rounding).  Points outside the physical tetrahedron (margins below
     -1e-12) evaluate to NaN; scalar users should prefer
     :func:`bd_coherence`, which validates its parameters instead.
     """
@@ -150,8 +153,8 @@ def bd_coherence_values(c1, c2, c3, label: str):
 
 def bd_coherence(params: BellDiagonalParams, label: str) -> float:
     """Closed-form coherence of a Bell-diagonal state in basis a1, a2 or a3."""
-    if label not in _BD_PAIRS:
-        raise ValueError(f"unknown basis label {label!r}; expected one of {tuple(_BD_PAIRS)}")
+    if label not in AMUB_LABELS:
+        raise ValueError(f"unknown basis label {label!r}; expected one of {AMUB_LABELS}")
     return float(_bd_values(*params.triple, label))
 
 
@@ -177,35 +180,26 @@ def isotropic_coherence(fidelity):
 # -- z-polarized X states ------------------------------------------------------
 #
 # In the computational product basis the state splits into two 2x2 blocks,
-# {|00>, |11>} and {|01>, |10>}, whose eigenvalues are the block margins
+# {|01>, |10>} and {|00>, |11>}, whose eigenvalues are the block margins
 # over 4.  The block square roots give the diagonal of sqrt(rho) in closed
-# form, and the coherence follows from the numeric definition's formula.
-# Summed over the three reference bases only tr(sqrt(rho)) survives:
-# C_sum = 2 - tr(sqrt(rho))^2 / 2.
+# form, and the coherence in a1 follows from the numeric definition's
+# formula.  sqrt of a block [[alpha, beta], [beta, delta]] has diagonal
+# (u + w, u - w) with u the half trace of the root and
+# w = (alpha - delta) / (2 (sqrt(lam+) + sqrt(lam-))), which stays finite
+# whenever the block is nonzero, so vanishing gaps need no special casing.
 
 
 def _xz_values(r, s, c1, c2, c3, measure: str):
     """The X-state kernel: coherence in a1 or summed ('sum'), elementwise;
     NaN where a block margin is below -TETRA_TOL."""
-    m = _xz_margins(r, s, c1, c2, c3)
-    physical = _physical(m)
-    ri_m, ri_p, ro_p, ro_m = (np.sqrt(np.maximum(x, 0.0)) / 2.0 for x in m)
-    del m  # 33 MB on a 101^3 grid: free it before the products are formed
-    if measure == "sum":
-        trace_root = ri_p + ri_m + ro_p + ro_m
-        values = 2.0 - trace_root**2 / 2.0
-    else:
-        # sqrt of a 2x2 block [[alpha, beta], [beta, delta]] has diagonal
-        # (u + w, u - w) with u the half trace of the root and
-        # w = (alpha - delta) / (2 (sqrt(lam+) + sqrt(lam-))),
-        # which stays finite whenever the block is nonzero, so vanishing
-        # gaps need no special casing.
-        si = ri_p + ri_m
-        so = ro_p + ro_m
+
+    def a1(q):
+        si, so = (q[0] + q[1]) / 2.0, (q[2] + q[3]) / 2.0
         wi = np.where(si > 0.0, (r - s) / np.where(si > 0.0, 4.0 * si, 1.0), 0.0)
         wo = np.where(so > 0.0, (r + s) / np.where(so > 0.0, 4.0 * so, 1.0), 0.0)
-        values = 1.0 - (si / 2.0 + wi) ** 2 - (si / 2.0 - wi) ** 2 - (so / 2.0 + wo) ** 2 - (so / 2.0 - wo) ** 2
-    return np.where(physical, np.maximum(values, 0.0), np.nan)
+        return 1.0 - (si / 2.0 + wi) ** 2 - (si / 2.0 - wi) ** 2 - (so / 2.0 + wo) ** 2 - (so / 2.0 - wo) ** 2
+
+    return _closed_values(_xz_margins(r, s, c1, c2, c3), None if measure == "sum" else a1)
 
 
 def xz_coherence_a1(params: XStateZParams) -> float:
@@ -223,9 +217,9 @@ def xz_coherence_sum(params: XStateZParams) -> float:
 def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
     """Vectorized coherence of z-polarized X states over coefficient grids.
 
-    ``measure`` is 'a1' or 'sum'.  r and s are fixed finite scalars; c1,
-    c2, c3 broadcast.  Unphysical points (negative block eigenvalues)
-    evaluate to NaN.
+    ``measure`` is 'a1' or 'sum' (in its trace-root form).  r and s are
+    fixed finite scalars; c1, c2, c3 broadcast.  Unphysical points (block
+    margins below -1e-12) evaluate to NaN.
     """
     if measure not in ("a1", "sum"):
         raise ValueError(f"unknown measure {measure!r}; expected 'a1' or 'sum'")

@@ -54,6 +54,13 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _noise_bound(top, dim: int):
+    """d * eps * top: an eigenvalue of a d x d PSD matrix with largest
+    eigenvalue ``top`` at or below it is rounding noise of zero (so is a
+    fixed multiple of one, against ``top`` scaled alike)."""
+    return dim * _EPS * top
+
+
 def sqrt_psd(a: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     """Hermitian PSD square root R with R @ R == a, for one matrix or a
     stack of them (shape (..., d, d)), from one stacked eigensolve.
@@ -73,8 +80,7 @@ def sqrt_psd(a: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
             raise ValueError(f"matrix is not PSD: min eigenvalue {low:.3e} < {floor:.1e}")
         # A negative top eigenvalue gives a negative bound, which every
         # eigenvalue of that matrix still lies below: all are zeroed.
-        noise = w.shape[-1] * _EPS * w[..., -1:]
-        w[w <= noise] = 0.0
+        w[w <= _noise_bound(w[..., -1:], w.shape[-1])] = 0.0
     root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     # symmetrize away the last few ulps so downstream hermiticity checks pass
     return 0.5 * (root + root.conj().swapaxes(-1, -2))

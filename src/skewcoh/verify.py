@@ -36,6 +36,7 @@ from .states import (
     LOCAL_PAULIS_A,
     LOCAL_PAULIS_B,
     PAULI_PAIRS,
+    TETRA_TOL,
     BellDiagonalParams,
     DensityMatrix,
     XStateZParams,
@@ -52,12 +53,17 @@ from .states import (
 )
 
 DEFAULT_SEED = 1234
-# closed-forms and xz-states hold about 1.5 kB per sample at their peak,
-# 150 MB at the cap.  The other sampled suites evaluate CHUNK_STATES states
-# at a time (about 17 kB a state in coefficient-table, 35 MB a chunk) and
-# take up to about 0.3 ms a sample, mostly building channels.
+# Every sampled suite evaluates the numeric route CHUNK_STATES states at a
+# time.  At the cap, closed-forms peaks near 130 B a sample (13 MB) and
+# xz-states near 550 B (55 MB), most of it the two audit warning lines of
+# each draw, which also make it the slowest at about 0.5 ms a sample.
+# coefficient-table holds about 17 kB a state of a chunk (35 MB) and the
+# suites that build channels take up to about 0.3 ms a sample.
 MAX_SAMPLES = 100_000
 CHUNK_STATES = 2048
+# closed-forms and xz-states also certify their closed forms at every
+# physical point of this grid over the coefficient cube.
+GRID_RESOLUTION = 21
 
 DYNAMICS_PARAMETER_SETS = (
     BellDiagonalParams(-0.2, 0.6, 0.6),
@@ -83,10 +89,12 @@ class SuiteResult:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def dev(self, name: str, value: float, bound: float) -> None:
-        """Record a max-deviation check against an upper bound."""
+    def dev(self, name: str, value: float, bound: float, where: str = "") -> None:
+        """Record a max-deviation check against an upper bound, with the
+        point where it is attained if given."""
+        observed = f"{value:.3e} at {where}" if where else f"{value:.3e}"
         self.checks.append(
-            Check(name=name, passed=bool(value <= bound), observed=f"{value:.3e}", requirement=f"<= {bound:.1e}")
+            Check(name=name, passed=bool(value <= bound), observed=observed, requirement=f"<= {bound:.1e}")
         )
 
     def flag(self, name: str, passed: bool, observed: str, requirement: str) -> None:
@@ -220,9 +228,10 @@ def suite_bases(rng: np.random.Generator, samples: int | None = None) -> SuiteRe
     n = samples or 200
     worst_spec = worst_coh = 0.0
     for ks in _chunks(n // 2):
-        m = _bd_matrix(*random_bell_params(rng, len(ks)).T[..., None, None])
+        c = random_bell_params(rng, len(ks))
+        m = _bd_matrix(*c.T[..., None, None])
         spectrum = np.linalg.eigvalsh(m)
-        for lab, in_basis in zip(AMUB_LABELS, _numeric(_state_roots(m))):
+        for lab, in_basis in zip(AMUB_LABELS, _numeric(_bd_matrix, c)):
             rotated = represent_in_basis(m, amub_basis(lab))
             worst_spec = max(worst_spec, _worst(np.linalg.eigvalsh(rotated) - spectrum))
             worst_coh = max(worst_coh, _worst(_coherence_values(_state_roots(rotated), EYE4) - in_basis))
@@ -239,20 +248,51 @@ def suite_bases(rng: np.random.Generator, samples: int | None = None) -> SuiteRe
     return res
 
 
-def _numeric(roots: np.ndarray) -> list[np.ndarray]:
-    """Numeric coherence of every root of a stack in a1, a2 and a3."""
-    return [_coherence_values(roots, amub_basis(lab).vectors) for lab in AMUB_LABELS]
+def _numeric(matrix_of, params: np.ndarray) -> np.ndarray:
+    """Numeric coherence in a1, a2 and a3 (the rows of a (3, n) array) of
+    the states ``matrix_of(*row)`` of the n rows of ``params``, built and
+    evaluated CHUNK_STATES states at a time."""
+    values = np.empty((len(AMUB_LABELS), len(params)))
+    for ks in _chunks(len(params)):
+        roots = _state_roots(matrix_of(*params[ks.start : ks.stop].T[..., None, None]))
+        for row, lab in zip(values, AMUB_LABELS):
+            row[ks.start : ks.stop] = _coherence_values(roots, amub_basis(lab).vectors)
+    return values
+
+
+def _grid_gaps(resolution: int, rs: tuple[float, float] | None = None) -> dict[str, tuple[float, str]]:
+    """|closed - numeric| at every physical point of the resolution^3 grid
+    over the coefficient cube, per measure: the largest gap and where it
+    lies.  ``rs`` None checks the Bell-diagonal kernel in a1, a2, a3 and the
+    sum (its states are the X states at r = s = 0); otherwise the X-state
+    kernel at (r, s) = ``rs`` in a1 and the sum."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    c = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    params = np.column_stack((np.broadcast_to(rs or (0.0, 0.0), (len(c), 2)), c))
+    params = params[np.min(_xz_margins(*params.T), axis=0) >= -TETRA_TOL]
+    numeric = _numeric(_xz_matrix, params)
+    numeric = dict(zip(AMUB_LABELS, numeric), sum=numeric[0] + numeric[1] + numeric[2])
+    gaps = {}
+    for lab in numeric if rs is None else ("a1", "sum"):
+        closed = bd_coherence_values(*params[:, 2:].T, lab) if rs is None else _xz_values(*params.T, lab)
+        gap = np.abs(closed - numeric[lab])
+        k = int(np.argmax(gap))
+        gaps[lab] = (float(gap[k]), "c=({:.6f},{:.6f},{:.6f})".format(*params[k, 2:]))
+    return gaps
 
 
 def suite_closed_forms(rng: np.random.Generator, samples: int | None = None) -> SuiteResult:
     n = samples or 1000
     res = SuiteResult("closed-forms")
-    c = random_bell_params(rng, n).T
-    numeric = _numeric(_state_roots(_bd_matrix(*c[..., None, None])))
-    closed = [bd_coherence_values(*c, lab) for lab in AMUB_LABELS]
+    c = random_bell_params(rng, n)
+    numeric = _numeric(_bd_matrix, c)
+    closed = [bd_coherence_values(*c.T, lab) for lab in AMUB_LABELS]
     for lab, want, got in zip(AMUB_LABELS, numeric, closed):
         res.dev(f"|closed - numeric| in {lab} over {n} states", _worst(got - want), 1e-9)
     res.dev("three-basis sum vs numeric sum", _worst(sum(closed) - sum(numeric)), 1e-9)
+    for lab, (gap, where) in _grid_gaps(GRID_RESOLUTION).items():
+        name = f"|closed - numeric| in {lab} at every physical point of the {GRID_RESOLUTION}^3 grid"
+        res.dev(name, gap, 1e-12, where)
     return res
 
 
@@ -260,8 +300,8 @@ def suite_werner(rng: np.random.Generator, samples: int | None = None) -> SuiteR
     res = SuiteResult("werner")
     grid = np.linspace(0.0, 1.0, 101)
     closed = werner_coherence(grid)
-    roots = _state_roots(_bd_matrix(*_werner_coefficients(grid[:, None, None])))
-    worst = max(_worst(closed - numeric) for numeric in _numeric(roots))
+    numerics = _numeric(_bd_matrix, np.column_stack(_werner_coefficients(grid)))
+    worst = max(_worst(closed - numeric) for numeric in numerics)
     res.dev("|closed - numeric| on 101-point grid, three bases", worst, 1e-9)
     res.dev("endpoint p=0 vs 1/2", abs(closed[0] - 0.5), 1e-12)
     res.dev("endpoint p=1 vs (5 - sqrt(21))/16", abs(closed[-1] - (5.0 - np.sqrt(21.0)) / 16.0), 1e-12)
@@ -273,8 +313,8 @@ def suite_isotropic(rng: np.random.Generator, samples: int | None = None) -> Sui
     res = SuiteResult("isotropic")
     grid = np.linspace(0.0, 1.0, 101)
     closed = isotropic_coherence(grid)
-    roots = _state_roots(_bd_matrix(*_isotropic_coefficients(grid[:, None, None])))
-    worst = max(_worst(closed - numeric) for numeric in _numeric(roots))
+    numerics = _numeric(_bd_matrix, np.column_stack(_isotropic_coefficients(grid)))
+    worst = max(_worst(closed - numeric) for numeric in numerics)
     res.dev("|closed - numeric| on 101-point grid, three bases", worst, 1e-9)
     res.dev("value at F=1/4 vs 0", abs(isotropic_coherence(0.25)), 1e-12)
     res.dev("value at F=0 vs 1/6", abs(closed[0] - 1.0 / 6.0), 1e-12)
@@ -290,7 +330,7 @@ def suite_xz(rng: np.random.Generator, samples: int | None = None) -> SuiteResul
     res = SuiteResult("xz-states")
 
     params = random_xz_params(rng, n)
-    numeric = _numeric(_state_roots(_xz_matrix(*params.T[..., None, None])))
+    numeric = _numeric(_xz_matrix, params)
     numeric_sum = numeric[0] + numeric[1] + numeric[2]
     closed_dev = _worst(_xz_values(*params.T, "a1") - numeric[0])
     res.dev(f"block closed form vs numeric over {n} states", closed_dev, 1e-9)
@@ -320,6 +360,10 @@ def suite_xz(rng: np.random.Generator, samples: int | None = None) -> SuiteResul
     singular = XStateZParams(0.2, 0.2, 0.4, -0.4, 0.1)
     gap_dev = abs(xz_coherence_a1(singular) - coherence(x_state_z(singular), amub_basis("a1")))
     res.dev("vanishing-gap point equals numeric", gap_dev, 1e-12)
+    rs = (0.1, 0.1)
+    for lab, (gap, where) in _grid_gaps(GRID_RESOLUTION, rs).items():
+        name = f"|closed - numeric| in {lab} at every physical point of the {GRID_RESOLUTION}^3 grid, r=s={rs[0]}"
+        res.dev(name, gap, 1e-12, where)
     res.flag("audited closed-form candidates", True, f"{audit_count} deviations > 1e-8 reported", "reported, not asserted")
     return res
 

@@ -25,6 +25,13 @@ class TestCoherenceCommand:
         assert values["numeric"] == pytest.approx(values["closed-form"], abs=1e-10)
         assert values["difference"] < 1e-10
 
+    def test_negative_zero_coefficients_fold_into_zero(self, capsys):
+        # --c folds -0.0 into 0.0 as the other float flags do
+        for args in (("bell", "--c=-0.0,0,0"), ("xz", "--r", "0", "--s", "0", "--c=0,-0.0,0")):
+            code, out, _ = run(capsys, "coherence", "--family", *args)
+            assert code == 0
+            assert "c=(0,0,0)" in out.splitlines()[0]
+
     def test_bell_in_a2_incoherent(self, capsys):
         code, out, _ = run(capsys, "coherence", "--family", "bell", "--c", "0,0,0", "--basis", "a2")
         assert code == 0

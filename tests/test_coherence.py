@@ -158,13 +158,36 @@ class TestBellDiagonalClosedForms:
         with pytest.raises(ValueError, match="unknown basis label"):
             bd_coherence(BellDiagonalParams(0, 0, 0), "sum")
 
-    def test_sum_label_is_the_three_basis_sum_bit_for_bit(self):
+    def test_sum_label_is_the_trace_root_sum(self):
+        # 'sum' is 2 - (sum_i sqrt(m_i))^2 / 8 bit for bit, a margin at or
+        # below 4 eps max_j m_j counting as 0, and the three-basis sum up
+        # to rounding.
         axis = np.linspace(-1.0, 1.0, 21)
         c = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+        m = np.array(np.broadcast_arrays(*tetrahedron_margins(*c)))
+        roots = np.sqrt(np.where(m > 4 * np.finfo(float).eps * m.max(axis=0), m, 0.0))
+        want = np.where(m.min(axis=0) >= -1e-12, np.maximum(2.0 - roots.sum(axis=0) ** 2 / 8.0, 0.0), np.nan)
+        got = bd_coherence_values(*c, "sum")
+        assert got.tobytes() == want.tobytes()
         three = bd_coherence_values(*c, "a1") + bd_coherence_values(*c, "a2") + bd_coherence_values(*c, "a3")
-        assert bd_coherence_values(*c, "sum").tobytes() == three.tobytes()
+        assert np.array_equal(np.isnan(got), np.isnan(three))
+        assert np.abs(got - three)[np.isfinite(got)].max() <= 1e-15
         params = BellDiagonalParams(0.3, -0.2, 0.1)
-        assert bd_coherence_sum(params) == sum(bd_coherence(params, lab) for lab in ("a1", "a2", "a3"))
+        three = sum(bd_coherence(params, lab) for lab in ("a1", "a2", "a3"))
+        assert bd_coherence_sum(params) == pytest.approx(three, abs=1e-15)
+
+    def test_bases_are_a1_with_the_coefficients_permuted(self):
+        # a2(c) = a1(c2, c3, c1) and a3(c) = a1(c3, c1, c2) at every point of
+        # the 101^3 grid, NaN masks included; a sqrt of noise-level margins
+        # on the faces broke this by up to 5.2e-9.
+        axis = np.linspace(-1.0, 1.0, 101)
+        c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+        for i in range(0, 101, 20):
+            x = c1[i : i + 20]
+            for label, permuted in (("a2", (c2, c3, x)), ("a3", (c3, x, c2))):
+                got, want = bd_coherence_values(x, c2, c3, label), bd_coherence_values(*permuted, "a1")
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert np.abs(got - want)[np.isfinite(got)].max(initial=0.0) <= 1e-15
 
     def test_grid_values_match_scalar(self):
         c = np.array([0.3, -0.1]), np.array([-0.2, 0.4]), np.array([0.5, 0.0])

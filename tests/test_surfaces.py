@@ -89,7 +89,7 @@ class TestFieldSampling:
         c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
         cases = [
             (sample_bd_field("a2", 21), bd_coherence_values(c1, c2, c3, "a2")),
-            (sample_bd_field("sum", 21), sum(bd_coherence_values(c1, c2, c3, lab) for lab in ("a1", "a2", "a3"))),
+            (sample_bd_field("sum", 21), bd_coherence_values(c1, c2, c3, "sum")),
             (sample_xz_field(0.1, -0.2, "sum", 21), xz_coherence_values(0.1, -0.2, c1, c2, c3, "sum")),
             (
                 sample_channel_field("GAD", 0.3, 21),

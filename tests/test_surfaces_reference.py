@@ -44,10 +44,11 @@ ROOT = Path(__file__).resolve().parents[1]
 FIGURE_HASHES = json.loads((Path(__file__).with_name("figure_hashes_res41.json")).read_text())
 
 # sha256 of `surface --field xz-a1 --r 0.1 --s 0.1 --level 0.1 --resolution 21
-# --format ply --field-csv`, recorded from the per-line writers.
+# --format ply --field-csv`, recorded from the loop extraction and the
+# per-line writers below.
 PLY_AND_FIELD_HASHES = {
-    "surface_xz-a1_r0.1_s0.1_level0.1.ply": "4332d5dd68d6df09ff832401371f51fc85a434c902701227719c642fce8f9c8f",
-    "field_xz-a1_r0.1_s0.1.csv": "14fd05223f474175f32bab95eab92ecdf972f0d707a68902eb90722eea553b0f",
+    "surface_xz-a1_r0.1_s0.1_level0.1.ply": "bb2480632b10af665756b33a3d1c08b39cdcbfd2312ebbdb9a19bacd4a8b9110",
+    "field_xz-a1_r0.1_s0.1.csv": "eed56827ae5c6d39b8b1ef98c5a6c69e9e35509f0505d49bf0c738bca3faca53",
 }
 
 _EDGE_KEYS = []

@@ -153,7 +153,10 @@ def test_same_seed_same_report():
 # per-state suites before they were rewritten over stacked arrays: the
 # first two entries before the closed-forms, werner, isotropic and
 # xz-states suites, the others before linalg, bases, coefficient-table and
-# cptp.
+# cptp.  The four stdout digests of runs that include closed-forms or
+# xz-states were re-recorded when those suites gained their whole-grid
+# checks: the reports differ from the earlier ones by those six added
+# lines only.
 REPORT_HASHES = json.loads(Path(__file__).with_name("verify_report_hashes.json").read_text())
 
 
@@ -166,3 +169,17 @@ def test_verify_report_bytes_unchanged(name):
     assert code == want["exit"]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want["stdout"]
     assert hashlib.sha256(err.getvalue().encode()).hexdigest() == want["stderr"]
+
+
+@pytest.mark.parametrize(
+    "resolution, rs",
+    [(41, None), (101, None), (41, (0.1, 0.1)), (41, (0.3, 0.3))],
+    ids=["bd-41", "bd-101", "xz-0.1-41", "xz-0.3-41"],
+)
+def test_closed_forms_match_numeric_at_every_grid_point(resolution, rs):
+    # Before the closed forms took sqrt_psd's noise rule, face points of
+    # these grids were off by up to 1.3e-8.
+    gaps = verify._grid_gaps(resolution, rs)
+    assert sorted(gaps) == (["a1", "a2", "a3", "sum"] if rs is None else ["a1", "sum"])
+    for label, (gap, where) in gaps.items():
+        assert gap <= 1e-12, (label, gap, where)
