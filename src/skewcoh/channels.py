@@ -9,7 +9,8 @@ acts on a two-qubit state as the product channel
 On Bell-diagonal input the flip channels (and GAD at p = 1/2) preserve the
 Bell-diagonal form and just rescale the correlation coefficients; that
 coefficient map is stored declaratively and cross-validated against the
-Kraus evolution by the test suite.
+Kraus evolution by the test suite.  The constructors take scalar or array
+parameters: an array gives one stacked channel, a scalar its 0-d case.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from .bases import OrthonormalBasis
 from .coherence import coherence
-from .linalg import EYE2, SIGMA1, SIGMA2, SIGMA3, dagger
-from .states import BellDiagonalParams, DensityMatrix, bell_diagonal
+from .linalg import EYE2, SIGMA1, SIGMA2, SIGMA3
+from .states import BellDiagonalParams, DensityMatrix, _unit_interval, bell_diagonal
 
 CHANNEL_KINDS = ("BF", "PF", "BPF", "GAD")
 
@@ -45,65 +46,65 @@ GAD_FORM_PRESERVING_P = 0.5
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completeness-checked set of single-qubit Kraus operators."""
+    """A completeness-checked set of single-qubit Kraus operators, or a stack
+    of them: ``operators`` is one frozen (..., n, d, d) array.  For one set,
+    iterating it gives the operators and ``np.array`` of it the (n, d, d) array."""
 
     label: str
-    operators: tuple[np.ndarray, ...]
-    p: float
-    gamma: float | None = None
+    operators: np.ndarray
+    p: float | np.ndarray
+    gamma: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
-        for op in ops:
-            op.flags.writeable = False
-        object.__setattr__(self, "operators", ops)
-        total = sum(dagger(op) @ op for op in ops)
-        defect = float(np.abs(total - np.eye(ops[0].shape[0])).max())
+        e = np.array(self.operators, dtype=complex)
+        e.flags.writeable = False
+        object.__setattr__(self, "operators", e)
+        total = np.einsum("...kji,...kjl->...il", e.conj(), e)  # sum_k E_k^dagger E_k
+        defect = float(np.abs(total - np.eye(e.shape[-1])).max(initial=0.0))
         if defect > COMPLETENESS_TOL:
             raise ValueError(f"Kraus set is not complete: defect {defect:.3e}")
-        # The two-qubit products E_i (x) E_j, stacked in (i, j) order, built
-        # once here so that apply_product_channel is one contraction.
-        e = np.array(ops)
-        n, d = e.shape[:2]
-        products = (e[:, None, :, None, :, None] * e[None, :, None, :, None, :]).reshape(n * n, d * d, d * d)
+        # The two-qubit products E_i (x) E_j of each set, stacked in (i, j)
+        # order, built once here so that applying the channel is one contraction.
+        *lead, n, d = e.shape[:-1]
+        products = e[..., :, None, :, None, :, None] * e[..., None, :, None, :, None, :]
+        products = products.reshape(*lead, n * n, d * d, d * d)
         products.flags.writeable = False
         object.__setattr__(self, "_products", products)
 
 
-def make_channel(kind: str, p: float, gamma: float | None = None) -> KrausChannel:
-    """Build one of the four channels.
+def make_channel(kind: str, p, gamma=None) -> KrausChannel:
+    """Build one of the four channels, or a stack of them.
 
     BF/PF/BPF: E0 = sqrt(1 - p/2) I, E1 = sqrt(p/2) sigma.
     GAD: four operators parameterized by mixing p and damping gamma.
     p (and gamma) live on the closed interval [0, 1]; the endpoints are
     needed for decay limits even though interior values are the generic case.
+    Array parameters broadcast and give one stack of shape (..., n, 2, 2).
     """
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
+    x = _unit_interval("p", p)
     if kind != "GAD":
         if gamma is not None:
             raise ValueError(f"{kind} takes no gamma parameter")
         sigma = {"BF": SIGMA1, "PF": SIGMA3, "BPF": SIGMA2}[kind]
-        ops = (np.sqrt(1.0 - p / 2.0) * EYE2, np.sqrt(p / 2.0) * sigma)
+        ops = np.empty(x.shape + (2, 2, 2), dtype=complex)
+        ops[..., 0, :, :] = np.sqrt(1.0 - x / 2.0)[..., None, None] * EYE2
+        ops[..., 1, :, :] = np.sqrt(x / 2.0)[..., None, None] * sigma
         return KrausChannel(label=kind, operators=ops, p=p)
     if gamma is None:
         raise ValueError("GAD requires a gamma parameter")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma={gamma} outside [0, 1]")
-    sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
-    sg, sh = np.sqrt(gamma), np.sqrt(1.0 - gamma)
-    ops = (
-        sp * np.array([[1.0, 0.0], [0.0, sh]], dtype=complex),
-        sp * np.array([[0.0, sg], [0.0, 0.0]], dtype=complex),
-        sq * np.array([[sh, 0.0], [0.0, 1.0]], dtype=complex),
-        sq * np.array([[0.0, 0.0], [sg, 0.0]], dtype=complex),
-    )
+    g = _unit_interval("gamma", gamma)
+    sp, sq, sg, sh = np.sqrt(x), np.sqrt(1.0 - x), np.sqrt(g), np.sqrt(1.0 - g)
+    # sqrt(p) [[1, 0], [0, sh]], sqrt(p) [[0, sg], [0, 0]],
+    # sqrt(1 - p) [[sh, 0], [0, 1]] and sqrt(1 - p) [[0, 0], [sg, 0]].
+    ops = np.zeros(np.broadcast(x, g).shape + (4, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0], ops[..., 0, 1, 1], ops[..., 1, 0, 1] = sp, sp * sh, sp * sg
+    ops[..., 2, 0, 0], ops[..., 2, 1, 1], ops[..., 3, 1, 0] = sq * sh, sq, sq * sg
     return KrausChannel(label=kind, operators=ops, p=p, gamma=gamma)
 
 
-def gad_reduced(p: float) -> KrausChannel:
+def gad_reduced(p) -> KrausChannel:
     """GAD in its one-parameter form: mixing fixed at 1/2, damping swept.
 
     This is the form whose action on Bell-diagonal states matches the
@@ -140,17 +141,16 @@ def predicted_coefficient_grid(kind: str, c1, c2, c3, p):
     if kind not in COEFFICIENT_POWERS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
     # A float p in range skips the array test, which costs microseconds.
-    inside = (p >= 0.0) & (p <= 1.0)
-    if inside is not True and not np.all(inside):
-        raise ValueError(f"p={p} outside [0, 1]")
+    if not (isinstance(p, float) and 0.0 <= p <= 1.0):
+        p = _unit_interval("p", p)
     # Products, not **: numpy squares arrays exactly, Python's float ** may not.
     q = 1.0 - p
     factors = (1.0, q, q * q)
     return tuple(np.asarray(ci) * factors[k] for ci, k in zip((c1, c2, c3), COEFFICIENT_POWERS[kind]))
 
 
-def channel_as_kraus(kind: str, p: float) -> KrausChannel:
-    """The Kraus set whose Bell-diagonal action the coefficient map predicts."""
+def channel_as_kraus(kind: str, p) -> KrausChannel:
+    """The Kraus set (or stack) whose Bell-diagonal action the coefficient map predicts."""
     return gad_reduced(p) if kind == "GAD" else make_channel(kind, p)
 
 

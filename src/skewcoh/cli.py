@@ -184,11 +184,6 @@ def cmd_surface(args: argparse.Namespace) -> int:
     if field_name not in BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS:
         raise ValueError(f"unknown field {field_name!r}; expected one of {BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS}")
     _check_flags(args, _STATE_FLAGS[field_name], f"field {field_name}")
-    slug = field_name.replace(":", "-")
-    if field_name in XZ_FIELDS:
-        slug += f"_r{args.r:g}_s{args.s:g}"
-    elif field_name in CHANNEL_FIELDS:
-        slug += f"_p{args.p:g}"
     key = (field_name, args.r, args.s, args.p, args.resolution)
     field = _last_field.get(key)
     if field is None:
@@ -208,10 +203,10 @@ def cmd_surface(args: argparse.Namespace) -> int:
         _warn(f"level {args.level:g} exceeds the field maximum; the mesh is empty")
     out = _out_dir(args)
     writer = sf.write_obj if args.format == "obj" else sf.write_ply
-    path = writer(mesh, out / f"surface_{slug}_level{args.level:g}.{args.format}")
+    path = writer(mesh, out / f"surface_{field.name}_level{args.level:g}.{args.format}")
     print(path)
     if args.field_csv:
-        print(sf.write_field_csv(field, out / f"field_{slug}.csv"))
+        print(sf.write_field_csv(field, out / f"field_{field.name}.csv"))
     return EXIT_OK
 
 

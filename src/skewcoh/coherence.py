@@ -236,36 +236,36 @@ def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
 # duplicates an adjacent product), so they deviate from the numeric
 # definition on generic inputs.  The certification suite reports every
 # deviation with its parameters; nothing asserts agreement with them.
+# Both are elementwise, a scalar call their 0-d case; they square with
+# np.square, never **, so a 0-d call equals its array element bit for bit.
 
 
-def xz_coherence_a1_candidate(r: float, s: float, c1: float, c2: float, c3: float) -> float:
-    """Audited a1 closed-form candidate; NaN when a block gap vanishes."""
-    q = lambda x: np.sqrt(max(x, 0.0))
+def xz_coherence_a1_candidate(r, s, c1, c2, c3):
+    """Audited a1 closed-form candidate, elementwise; NaN where a block gap vanishes."""
+    q = lambda x: np.sqrt(np.maximum(x, 0.0))
     rp = np.hypot(c1 + c2, r - s)
     rm = np.hypot(c1 - c2, r + s)
-    if rp == 0.0 or rm == 0.0:
-        return float("nan")
-    first = (
-        (q(1 - c3 + rp) * (r - s + rp) + q(1 - c3 - rp) * (-r + s + rp)) ** 2
-        + (q(1 - c3 - rp) * (r - s + rp) + q(1 - c3 + rp) * (-r + s + rp)) ** 2
+    first = np.square(q(1 - c3 + rp) * (r - s + rp) + q(1 - c3 - rp) * (-r + s + rp)) + np.square(
+        q(1 - c3 - rp) * (r - s + rp) + q(1 - c3 + rp) * (-r + s + rp)
     )
-    second = (
-        (q(1 + c3 + rm) * (-r - s + rm) + q(1 + c3 + rm) * (r + s + rm)) ** 2
-        + (q(1 + c3 - rm) * (r + s - rm) - q(1 + c3 + rm) * (r + s + rm)) ** 2
+    second = np.square(q(1 + c3 + rm) * (-r - s + rm) + q(1 + c3 + rm) * (r + s + rm)) + np.square(
+        q(1 + c3 - rm) * (r + s - rm) - q(1 + c3 + rm) * (r + s + rm)
     )
-    return float(1.0 - first / (16.0 * rp**2) - second / (16.0 * rm**2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = 1.0 - first / (16.0 * np.square(rp)) - second / (16.0 * np.square(rm))
+    return np.where((rp == 0.0) | (rm == 0.0), np.nan, value)[()]
 
 
-def xz_coherence_sum_candidate(r: float, s: float, c1: float, c2: float, c3: float) -> float:
-    """Audited sum candidate; one product appears twice where its partner belongs."""
-    q = lambda x: np.sqrt(max(x, 0.0))
+def xz_coherence_sum_candidate(r, s, c1, c2, c3):
+    """Audited sum candidate, elementwise; one product appears twice where its partner belongs."""
+    q = lambda x: np.sqrt(np.maximum(x, 0.0))
     rp = np.hypot(c1 + c2, r - s)
     rm = np.hypot(c1 - c2, r + s)
     a = q(1 - c3 - rp)
     b = q(1 - c3 + rp)
     c = q(1 + c3 - rm)
     d = q(1 + c3 + rm)
-    return float(0.25 * (6.0 - a * b - b * c - b * c - a * c - a * d - c * d))
+    return 0.25 * (6.0 - a * b - b * c - b * c - a * c - a * d - c * d)
 
 
 # -- comparison measures -------------------------------------------------------

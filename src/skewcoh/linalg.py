@@ -33,11 +33,6 @@ def as_square(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
 def require_hermitian(a: np.ndarray) -> np.ndarray:
     """The square complex matrix ``a``, or stack of them (shape (..., d, d)),
     checked finite and Hermitian: no entry of a - a^dagger may exceed
@@ -61,12 +56,12 @@ def _noise_bound(top, dim: int):
     return dim * _EPS * top
 
 
-def sqrt_psd(a: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
+def sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root R with R @ R == a, for one matrix or a
     stack of them (shape (..., d, d)), from one stacked eigensolve.
 
-    Eigenvalues in [floor, 0) are clamped to zero before the root;
-    anything below ``floor`` raises, because the input is then not a
+    Eigenvalues in [PSD_FLOOR, 0) are clamped to zero before the root;
+    anything below ``PSD_FLOOR`` raises, because the input is then not a
     rounding-perturbed PSD matrix but an invalid one.  Positive
     eigenvalues inside the eigensolver's own rounding bound of zero are
     zeroed as well: the square root amplifies noise of size eps to
@@ -76,8 +71,8 @@ def sqrt_psd(a: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     w, v = np.linalg.eigh(require_hermitian(a))
     if w.size:
         low = w.min()
-        if low < floor:
-            raise ValueError(f"matrix is not PSD: min eigenvalue {low:.3e} < {floor:.1e}")
+        if low < PSD_FLOOR:
+            raise ValueError(f"matrix is not PSD: min eigenvalue {low:.3e} < {PSD_FLOOR:.1e}")
         # A negative top eigenvalue gives a negative bound, which every
         # eigenvalue of that matrix still lies below: all are zeroed.
         w[w <= _noise_bound(w[..., -1:], w.shape[-1])] = 0.0

@@ -37,7 +37,7 @@ class DensityMatrix:
 
     All three properties are checked on construction (finite entries,
     hermiticity to ``HERMITICITY_TOL`` and eigenvalues down to
-    ``-STATE_TOL`` by :func:`sqrt_psd`, then the trace to ``STATE_TOL``),
+    ``PSD_FLOOR`` by :func:`sqrt_psd`, then the trace to ``STATE_TOL``),
     and the stored array is frozen so instances stay immutable.  The eigensolve that checks positivity
     also gives the PSD square root, kept as ``_root`` so the numeric
     coherence routes never diagonalize the state again.
@@ -61,10 +61,10 @@ class DensityMatrix:
 def _state_roots(m: np.ndarray) -> np.ndarray:
     """The PSD square roots of one state or a stack (shape (..., d, d)),
     validated: finite entries, hermiticity and eigenvalues down to
-    ``-STATE_TOL`` from the one eigensolve that gives the roots, then unit
+    ``PSD_FLOOR`` from the one eigensolve that gives the roots, then unit
     trace to ``STATE_TOL``."""
     try:
-        root = sqrt_psd(m, -STATE_TOL)
+        root = sqrt_psd(m)
     except ValueError as exc:
         raise ValueError(f"not a state: {exc}") from None
     tr = m.trace(axis1=-2, axis2=-1)
@@ -183,10 +183,11 @@ def x_state_z(params: XStateZParams) -> DensityMatrix:
 
 
 def _unit_interval(name: str, x) -> np.ndarray:
-    """``x`` as a float array, rejected unless every element is in [0, 1]."""
+    """``x`` as a float array, rejected, naming the first element outside, unless all are in [0, 1]."""
     x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise ValueError(f"{name}={x} outside [0, 1]")
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not inside.all():
+        raise ValueError(f"{name}={np.extract(~inside, x)[0]} outside [0, 1]")
     return x
 
 

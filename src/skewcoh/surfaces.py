@@ -37,7 +37,8 @@ MAX_RESOLUTION = 301
 
 @dataclass(frozen=True)
 class ScalarField3D:
-    """Values sampled on a cubic grid; NaN marks non-physical points."""
+    """Values sampled on a cubic grid; NaN marks non-physical points.
+    ``name`` is the file stem it is written under, e.g. ``xz-a1_r0.1_s0.1``."""
 
     axis: np.ndarray
     values: np.ndarray
@@ -150,7 +151,7 @@ def sample_xz_field(r: float, s: float, measure: str = "a1", resolution: int = 1
     grow; non-physical points carry NaN.
     """
     axis, values = _sample(lambda *c: xz_coherence_values(r, s, *c, measure), resolution)
-    return ScalarField3D(axis=axis, values=values, name=f"xz-{measure}-r{r:g}-s{s:g}")
+    return ScalarField3D(axis=axis, values=values, name=f"xz-{measure}_r{r:g}_s{s:g}")
 
 
 def sample_channel_field(kind: str, p: float, resolution: int = 101) -> ScalarField3D:
@@ -164,7 +165,7 @@ def sample_channel_field(kind: str, p: float, resolution: int = 101) -> ScalarFi
     p = 0.
     """
     axis, values = _sample(lambda *c: bd_coherence_values(*predicted_coefficient_grid(kind, *c, p), "a1"), resolution)
-    return ScalarField3D(axis=axis, values=values, name=f"channel-{kind}-p{p:g}")
+    return ScalarField3D(axis=axis, values=values, name=f"channel-{kind}_p{p:g}")
 
 
 def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:

@@ -55,10 +55,10 @@ from .states import (
 DEFAULT_SEED = 1234
 # Every sampled suite evaluates the numeric route CHUNK_STATES states at a
 # time.  At the cap, closed-forms peaks near 130 B a sample (13 MB) and
-# xz-states near 550 B (55 MB), most of it the two audit warning lines of
-# each draw, which also make it the slowest at about 0.5 ms a sample.
-# coefficient-table holds about 17 kB a state of a chunk (35 MB) and the
-# suites that build channels take up to about 0.3 ms a sample.
+# xz-states near 610 B (61 MB), most of it the two audit warning lines of
+# each draw.  coefficient-table holds about 19 kB a state of a chunk
+# (39 MB).  On one BLAS thread xz-states takes about 0.03 ms a sample and
+# the suites that build channels up to about 0.07 ms.
 MAX_SAMPLES = 100_000
 CHUNK_STATES = 2048
 # closed-forms and xz-states also certify their closed forms at every
@@ -336,20 +336,19 @@ def suite_xz(rng: np.random.Generator, samples: int | None = None) -> SuiteResul
     res.dev(f"block closed form vs numeric over {n} states", closed_dev, 1e-9)
     res.dev("trace identity for the basis sum vs numeric", _worst(_xz_values(*params.T, "sum") - numeric_sum), 1e-9)
 
-    # The audited candidates are reported draw by draw, a1 before sum.
-    audits = (("a1", xz_coherence_a1_candidate, numeric[0]), ("sum", xz_coherence_sum_candidate, numeric_sum))
-    audit_count = 0
-    for i, prm in enumerate(params):
-        where = "r={:.6f} s={:.6f} c=({:.6f},{:.6f},{:.6f})".format(*prm)
-        for label, audited, values in audits:
-            candidate = audited(*prm)
-            dev = abs(candidate - values[i])
-            if not np.isfinite(candidate) or dev > 1e-8:
-                audit_count += 1
-                res.warnings.append(
-                    f"audited {label} closed-form candidate deviates: {where} "
-                    f"candidate={candidate:.9f} numeric={values[i]:.9f} |diff|={dev:.3e}"
-                )
+    # The audited candidates are evaluated over all draws at once and
+    # reported draw by draw, a1 before sum.
+    candidates = np.array([xz_coherence_a1_candidate(*params.T), xz_coherence_sum_candidate(*params.T)])
+    references = np.array([numeric[0], numeric_sum])
+    devs = np.abs(candidates - references)
+    flagged = ~np.isfinite(candidates) | (devs > 1e-8)
+    for i, j in np.argwhere(flagged.T):
+        where = "r={:.6f} s={:.6f} c=({:.6f},{:.6f},{:.6f})".format(*params[i])
+        res.warnings.append(
+            f"audited {('a1', 'sum')[j]} closed-form candidate deviates: {where} "
+            f"candidate={candidates[j, i]:.9f} numeric={references[j, i]:.9f} |diff|={devs[j, i]:.3e}"
+        )
+    audit_count = np.count_nonzero(flagged)
 
     c1, c2, c3 = random_bell_params(rng, max(n // 2, 100)).T
     reduction = _xz_values(0.0, 0.0, c1, c2, c3, "a1") - bd_coherence_values(c1, c2, c3, "a1")
@@ -380,8 +379,7 @@ def suite_coefficient_table(rng: np.random.Generator, samples: int | None = None
         m = _bd_matrix(*c_k[..., None, None])
         _state_roots(m)
         for kind in ch.CHANNEL_KINDS:
-            products = np.array([ch.channel_as_kraus(kind, x)._products for x in p_k.tolist()])
-            moved = ch._apply_products(products, m)
+            moved = ch._apply_products(ch.channel_as_kraus(kind, p_k)._products, m)
             _state_roots(moved)
             want = np.stack(ch.predicted_coefficient_grid(kind, *c_k, p_k), axis=-1)
             worst_map = max(worst_map, _worst(_pauli_traces(moved, PAULI_PAIRS) - want))
@@ -394,8 +392,8 @@ def suite_coefficient_table(rng: np.random.Generator, samples: int | None = None
     # so the deviation is reported rather than asserted.
     probe = BellDiagonalParams(-0.2, 0.6, 0.6)
     strengths = np.array([0.3, 0.7, 0.3, 0.7])
-    products = np.array([ch.make_channel("GAD", mix, gamma=g)._products for mix in (0.2, 0.8) for g in (0.3, 0.7)])
-    moved = ch._apply_products(products, bell_diagonal(probe).matrix)
+    probe_channels = ch.make_channel("GAD", [0.2, 0.2, 0.8, 0.8], gamma=strengths)
+    moved = ch._apply_products(probe_channels._products, bell_diagonal(probe).matrix)
     _state_roots(moved)
     want = np.stack(ch.predicted_coefficient_grid("GAD", *probe.triple, strengths), axis=-1)
     worst_off = _worst(_pauli_traces(moved, PAULI_PAIRS) - want)
@@ -411,19 +409,19 @@ def suite_cptp(rng: np.random.Generator, samples: int | None = None) -> SuiteRes
     worst_trace = worst_eig = 0.0
     kinds = ch.CHANNEL_KINDS
     for ks in _chunks(n):
-        psds, products = [], []
+        psds, ps, gammas = [], [], []
         for k in ks:
             psds.append(random_psd(rng, 4))
-            kind = kinds[k % len(kinds)]
-            p = float(rng.uniform(0.0, 1.0))
-            gamma = float(rng.uniform(0.0, 1.0)) if kind == "GAD" else None
-            products.append(ch.make_channel(kind, p, gamma)._products)
+            ps.append(rng.uniform(0.0, 1.0))
+            if kinds[k % len(kinds)] == "GAD":
+                gammas.append(rng.uniform(0.0, 1.0))
         m = np.array(psds)
         m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
         _state_roots(m)
-        # Kinds cycle, so every fourth draw of a chunk is one stack.
+        # Chunks start at multiples of four, so draws j::4 of a chunk are one stack of kinds[j].
         for j in range(min(len(kinds), len(ks))):
-            moved = ch._apply_products(np.array(products[j :: len(kinds)]), m[j :: len(kinds)])
+            channels = ch.make_channel(kinds[j], ps[j :: len(kinds)], gammas if kinds[j] == "GAD" else None)
+            moved = ch._apply_products(channels._products, m[j :: len(kinds)])
             _state_roots(moved)
             worst_trace = max(worst_trace, _worst(np.trace(moved, axis1=-2, axis2=-1).real - 1.0))
             worst_eig = max(worst_eig, _worst(np.minimum(np.linalg.eigvalsh(moved)[:, 0], 0.0)))

@@ -15,7 +15,7 @@ from skewcoh.channels import (
     predicted_coefficients,
 )
 from skewcoh.coherence import coherence
-from skewcoh.linalg import EYE2, SIGMA3, dagger
+from skewcoh.linalg import EYE2, SIGMA3
 from skewcoh.states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -49,7 +49,7 @@ class TestMakeChannel:
     def test_gad_completeness(self, p, gamma):
         channel = make_channel("GAD", p, gamma)
         assert len(channel.operators) == 4
-        total = sum(dagger(e) @ e for e in channel.operators)
+        total = sum(e.conj().T @ e for e in channel.operators)
         assert np.abs(total - EYE2).max() <= 1e-12
 
     def test_parameter_validation(self):
@@ -65,6 +65,68 @@ class TestMakeChannel:
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ValueError, match="complete"):
             KrausChannel(label="BF", operators=(EYE2, EYE2), p=0.0)
+
+
+class TestChannelStacks:
+    """A stack of channels is the per-channel construction, element by element."""
+
+    P_GRID = np.concatenate([[0.0, 1.0], np.random.default_rng(41).uniform(0.0, 1.0, size=30)])
+
+    @staticmethod
+    def assert_stack_is_per_channel(stack, singles):
+        assert stack.operators.shape[:-3] == stack._products.shape[:-3] == (len(singles),)
+        for i, single in enumerate(singles):
+            assert np.array_equal(stack.operators[i], single.operators)
+            assert np.array_equal(stack._products[i], single._products)
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_stack_over_p_equals_per_channel(self, kind):
+        stack = channel_as_kraus(kind, self.P_GRID)
+        self.assert_stack_is_per_channel(stack, [channel_as_kraus(kind, p) for p in self.P_GRID.tolist()])
+
+    def test_gad_stack_over_p_and_gamma(self):
+        p, gamma = np.meshgrid(self.P_GRID[:8], [0.0, 0.3, 1.0], indexing="ij")
+        stack = make_channel("GAD", p.ravel(), gamma=gamma.ravel())
+        singles = [make_channel("GAD", x, gamma=g) for x, g in zip(p.ravel().tolist(), gamma.ravel().tolist())]
+        self.assert_stack_is_per_channel(stack, singles)
+
+    def test_scalar_p_broadcasts_against_gamma(self):
+        gamma = np.array([0.0, 0.25, 0.6, 1.0])
+        stack = make_channel("GAD", 0.3, gamma=gamma)
+        self.assert_stack_is_per_channel(stack, [make_channel("GAD", 0.3, gamma=g) for g in gamma.tolist()])
+        two_d = make_channel("GAD", self.P_GRID[:3, None], gamma=gamma)
+        assert two_d.operators.shape == (3, 4, 4, 2, 2)
+        assert np.array_equal(two_d._products[1, 2], make_channel("GAD", self.P_GRID[1], gamma=0.6)._products)
+
+    def test_stack_is_read_only(self):
+        stack = make_channel("GAD", self.P_GRID, gamma=0.5)
+        for array in (stack.operators, stack._products):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_operators_are_copied(self):
+        ops = np.array([EYE2, 0.0 * EYE2])
+        channel = KrausChannel(label="BF", operators=ops, p=0.0)
+        ops[0, 0, 0] = 2.0
+        assert channel.operators[0, 0, 0] == 1.0
+
+    def test_one_incomplete_set_in_a_stack_rejected(self):
+        ops = np.array(make_channel("BPF", self.P_GRID).operators)
+        ops[17, 1] *= 1.001
+        with pytest.raises(ValueError, match="not complete"):
+            KrausChannel(label="BPF", operators=ops, p=self.P_GRID)
+
+    @pytest.mark.parametrize("bad", [1.5, -1e-300, np.nan])
+    def test_one_bad_value_of_a_large_stack_is_named(self, bad):
+        p = np.linspace(0.0, 1.0, 10_000)
+        p[6_543] = bad
+        with pytest.raises(ValueError, match=rf"^p={bad} outside \[0, 1\]$"):
+            make_channel("PF", p)
+        with pytest.raises(ValueError, match=rf"^gamma={bad} outside \[0, 1\]$"):
+            make_channel("GAD", 0.5, gamma=p)
+        with pytest.raises(ValueError, match=rf"^p={bad} outside \[0, 1\]$"):
+            make_channel("BF", bad)
 
 
 class TestProductChannel:

@@ -19,6 +19,7 @@ from skewcoh.coherence import (
     xz_coherence_a1,
     xz_coherence_a1_candidate,
     xz_coherence_sum,
+    xz_coherence_sum_candidate,
     xz_coherence_values,
 )
 from skewcoh.states import (
@@ -231,6 +232,15 @@ class TestWernerIsotropic:
         with pytest.raises(ValueError):
             werner_coherence(np.array([0.5, np.nan]))
 
+    @pytest.mark.parametrize("bad", [1.5, -1e-300, np.nan])
+    def test_one_bad_value_of_a_large_stack_is_named(self, bad):
+        p = np.linspace(0.0, 1.0, 10_000)
+        p[6_543] = bad
+        with pytest.raises(ValueError, match=rf"^p={bad} outside \[0, 1\]$"):
+            werner_coherence(p)
+        with pytest.raises(ValueError, match=rf"^p={bad} outside \[0, 1\]$"):
+            werner_coherence(bad)
+
     def test_array_matches_scalar(self):
         grid = np.linspace(0.0, 1.0, 11)
         assert np.array_equal(werner_coherence(grid), [werner_coherence(float(p)) for p in grid])
@@ -292,6 +302,33 @@ class TestXStateClosedForms:
         prm = XStateZParams(0.3, -0.1, 0.2, 0.1, 0.3)
         numeric = coherence(x_state_z(prm), amubs[0])
         assert abs(xz_coherence_a1_candidate(prm.r, prm.s, prm.c1, prm.c2, prm.c3) - numeric) > 1e-8
+
+
+class TestAuditedCandidates:
+    CANDIDATES = (xz_coherence_a1_candidate, xz_coherence_sum_candidate)
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(43)
+        rows = rng.uniform(-1.0, 1.0, size=(5, 2000))
+        # Vanishing gaps: c1 + c2 = 0 with r = s, and c1 - c2 = 0 with r = -s.
+        rows[:, :3] = [[0.2, 0.1, 0.0], [0.2, -0.1, 0.0], [0.4, 0.3, 0.0], [-0.4, 0.3, 0.0], [0.1, 0.1, 0.5]]
+        return rows
+
+    @pytest.mark.parametrize("candidate", CANDIDATES)
+    def test_array_equals_its_0d_calls(self, candidate):
+        rows = self.draws()
+        values = candidate(*rows)
+        assert values.shape == (rows.shape[1],)
+        scalars = [candidate(*column) for column in rows.T.tolist()]
+        assert all(isinstance(v, float) for v in scalars)
+        assert np.array_equal(values, scalars, equal_nan=True)
+
+    def test_nan_where_a_block_gap_vanishes(self):
+        values = xz_coherence_a1_candidate(*self.draws())
+        assert np.isnan(values[:3]).all()
+        assert np.isfinite(values[3:]).all()
+        assert np.isnan(xz_coherence_a1_candidate(0.0, 0.0, 0.0, 0.0, 0.5))
 
 
 class TestComparisonMeasures:
