@@ -121,6 +121,8 @@ def _apply_products(products: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def apply_product_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply the two-qubit product channel built from a single-qubit Kraus set."""
+    if channel.operators.ndim != 3:
+        raise ValueError(f"expected one {channel.label} Kraus set, got a stack of shape {channel.operators.shape[:-3]}")
     if rho.dim != 4:
         raise ValueError(f"expected a two-qubit state, got dimension {rho.dim}")
     return DensityMatrix(_apply_products(channel._products, rho.matrix))

@@ -293,13 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_config(argv: list[str]) -> list[str]:
+def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Replace ``--config FILE`` (or ``--config=FILE``) with the flags the
     file supplies.
 
     The file holds one ``key=value`` pair per line (# comments allowed);
     pairs are inserted right after the subcommand, so explicit flags given
-    on the command line override them.
+    on the command line override them.  A switch (a ``store_true`` flag of
+    the subcommand) takes ``true``, which inserts the bare flag, or
+    ``false``, which inserts nothing.
     """
     i = next((j for j, token in enumerate(argv) if token == "--config" or token.startswith("--config=")), None)
     if i is None:
@@ -310,6 +312,11 @@ def _expand_config(argv: list[str]) -> list[str]:
         path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
     else:
         path, rest = argv[i].removeprefix("--config="), argv[:i] + argv[i + 1 :]
+    at = next((j for j, token in enumerate(rest) if not token.startswith("-")), len(rest))
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    command = commands.get(rest[at]) if at < len(rest) else None
+    actions = command._actions if command else []
+    switches = {flag for a in actions if isinstance(a, argparse._StoreTrueAction) for flag in a.option_strings}
     pairs: list[str] = []
     for line in Path(path).read_text(encoding="ascii").splitlines():
         line = line.strip()
@@ -317,19 +324,21 @@ def _expand_config(argv: list[str]) -> list[str]:
             continue
         if "=" not in line:
             raise ValueError(f"config line {line!r} is not key=value")
-        key, value = line.split("=", 1)
-        pairs += [f"--{key.strip()}", value.strip()]
-    for j, token in enumerate(rest):
-        if not token.startswith("-"):
-            return rest[: j + 1] + pairs + rest[j + 1 :]
-    return rest + pairs
+        key, value = (part.strip() for part in line.split("=", 1))
+        if f"--{key}" not in switches:
+            pairs += [f"--{key}", value]
+        elif value not in ("true", "false"):
+            raise ValueError(f"config line {line!r}: --{key} takes true or false")
+        elif value == "true":
+            pairs.append(f"--{key}")
+    return rest[: at + 1] + pairs + rest[at + 1 :]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_expand_config(argv))
+        args = parser.parse_args(_expand_config(argv, parser))
         return args.func(args)
     except SystemExit as exc:  # argparse reports usage errors via sys.exit
         return int(exc.code or 0)

@@ -11,6 +11,7 @@ the boundary of the physical region.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -300,14 +301,72 @@ def mesh_component_count(mesh: IsoSurfaceMesh) -> int:
 _CHUNK_ROWS = 1 << 14
 
 
+@functools.cache
+def _quad_words() -> np.ndarray:
+    """The four ASCII digits of 0 to 9999 as little-endian words, then the
+    same with trailing zeros as NUL; built on first use, so importing the
+    package pays nothing for it."""
+    digits = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    digits = digits.astype(np.uint8) + ord("0")
+    kept = np.logical_or.accumulate(digits[:, ::-1] > ord("0"), axis=1)[:, ::-1]
+    words = np.concatenate((digits, digits * kept)).view("<u4")[:, 0]
+    words.flags.writeable = False
+    return words
+
+
+# The decades that split [1e-4, 10), where %g prints fixed notation, in five.
+_DECADES = np.array([1e-3, 1e-2, 1e-1, 1.0])
+
+
+def _fixed_text(x: np.ndarray, precision: int) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.{precision}g" % v`` for each v of a 1-d float array as NUL-padded
+    bytes, and the mask of the v whose bytes these are certified to be:
+    1e-4 <= |v| < 10, where %g prints fixed notation; |v| times the exact
+    power of ten of its decade lies more than a few ulps from a rounding tie,
+    so ``np.rint`` rounds as Python's correctly rounded ``%`` does; and the
+    rounded digits stay in that decade.  Past 14 digits none is certified."""
+    size = np.abs(x)
+    fixed = (size >= 1e-4) & (size < 10.0) & (precision <= 14)
+    precision = min(precision, 14)  # nothing is certified past 14; keeps the digits in int64
+    size = np.where(fixed, size, 0.0)
+    decade = np.searchsorted(_DECADES, size, side="right")  # 4 + the exponent
+    scaled = size * np.array([float(10 ** (precision + 3 - i)) for i in range(5)])[decade]
+    n = np.rint(scaled)
+    certain = fixed & (0.5 - np.abs(scaled - n) > scaled * 2.0**-50)
+    certain &= (n >= 10.0 ** (precision - 1)) & (n < 10.0**precision)
+    # |v| * 10^(precision + 3): the sign, units digit, point and first decimal
+    # make one word, the other decimals, zero-padded, four to a word.
+    quads = -(-(precision + 2) // 4)
+    pad = 4 * quads - precision - 2
+    head, rest = np.divmod(n.astype(np.int64) * 10 ** np.arange(pad, pad + 5)[decade], 10 ** (4 * quads))
+    words = np.empty((len(x), 1 + quads), "<u4")
+    zeros = np.ones(len(x), bool)  # the decimals right of word j are all 0
+    for j in range(quads, 0, -1):
+        rest, quad = np.divmod(rest, 10_000)
+        words[:, j] = _quad_words()[quad + zeros * 10_000]
+        zeros &= quad == 0
+    units, first = np.divmod(head, 10)
+    point = ~zeros | (first > 0)
+    digits = (units + ord("0")) * 2**8 + point * (ord(".") * 2**16 + (first + ord("0")) * 2**24)
+    words[:, 0] = np.signbit(x) * ord("-") + digits
+    return words.view(f"S{words.shape[1] * 4}")[:, 0], certain
+
+
 def _float_text(block: np.ndarray, spec: str) -> np.ndarray:
-    """``spec % x`` for every x of a float block, as a (rows, cols, width)
-    uint8 array of NUL-padded ASCII.  Each distinct bit pattern is formatted
-    once by Python's ``%``, so -0.0 stays "-0"; mesh and field rows repeat
+    """``spec % x`` (a ``%.<precision>g``) for every x of a float block, as a
+    (rows, cols, width) uint8 array of NUL-padded ASCII.  Each distinct bit
+    pattern is formatted once, so -0.0 stays "-0": by ``_fixed_text`` where
+    it certifies the bytes, else by Python's ``%`` (exponent forms, zeros,
+    non-finite values and uncertain roundings).  Mesh and field rows repeat
     their grid axis values, and in the figure meshes a quarter of the values
     of a chunk are distinct."""
     distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
-    text = np.array([spec % x for x in distinct.view(float).tolist()], dtype=bytes)
+    x = distinct.view(float)
+    text, certain = _fixed_text(x, int(spec[2:-1]))
+    other = np.flatnonzero(~certain)
+    strings = np.array([spec % v for v in x[other].tolist()], dtype=bytes)
+    text = text.astype(np.promote_types(text.dtype, strings.dtype), copy=False)
+    text[other] = strings
     return text[inverse.reshape(block.shape)].view(np.uint8).reshape(*block.shape, -1)
 
 

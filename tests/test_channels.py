@@ -169,6 +169,13 @@ class TestProductChannel:
         with pytest.raises(ValueError, match="two-qubit"):
             apply_product_channel(make_channel("BF", 0.1), single)
 
+    def test_stacked_channel_is_named(self):
+        state = bell_diagonal(FIG_PARAMS[0])
+        with pytest.raises(ValueError, match=r"^expected one BF Kraus set, got a stack of shape \(2,\)$"):
+            apply_product_channel(make_channel("BF", [0.1, 0.2]), state)
+        with pytest.raises(ValueError, match=r"^expected one GAD Kraus set, got a stack of shape \(2, 3\)$"):
+            apply_product_channel(make_channel("GAD", [[0.5]] * 2, [0.1, 0.2, 0.3]), state)
+
 
 class TestPredictedCoefficients:
     def test_pf_row(self):

@@ -452,6 +452,36 @@ class TestConfigFile:
         code, _, err = run(capsys, "surface", "--config", str(cfg), "--field", "bd-a1", "--level", "0.1")
         assert code == cli.EXIT_BAD_ARGS
 
+    def test_switch_true_sets_the_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "surface.cfg"
+        cfg.write_text("field=bd-a1\nlevel=0.2\nresolution=21\nfield-csv = true\n")
+        code, out, _ = run(capsys, "surface", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "surface_bd-a1_level0.2.obj").exists()
+        assert (tmp_path / "field_bd-a1.csv").exists()
+        cfg.write_text("compare=true\n")
+        code, out, _ = run(capsys, "coherence", "--family", "werner", "--p", "0.5", "--config", str(cfg))
+        assert code == 0
+        assert "l1" in out
+
+    def test_switch_false_leaves_the_flag_off(self, capsys, tmp_path):
+        cfg = tmp_path / "surface.cfg"
+        cfg.write_text("field=bd-a1\nlevel=0.2\nresolution=21\nfield-csv=false\n")
+        code, out, _ = run(capsys, "surface", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "surface_bd-a1_level0.2.obj").exists()
+        assert not (tmp_path / "field_bd-a1.csv").exists()
+
+    @pytest.mark.parametrize("value", ["yes", "1", "True", ""])
+    def test_switch_with_another_value_exits_2_naming_the_line(self, capsys, tmp_path, value):
+        cfg = tmp_path / "surface.cfg"
+        cfg.write_text(f"field=bd-a1\nlevel=0.2\nfield-csv={value}\n")
+        code, out, err = run(capsys, "surface", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert f"config line 'field-csv={value}': --field-csv takes true or false" in err
+        assert not list(tmp_path.glob("*.obj"))
+
     def test_abbreviated_config_flag_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "verify.cfg"
         cfg.write_text("samples=2\n")

@@ -15,10 +15,13 @@ import json
 import os
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewcoh import cli
 from skewcoh._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_CORNERS, EDGE_OFFSET, TRI_TABLE
@@ -27,6 +30,8 @@ from skewcoh.surfaces import (
     Curve1D,
     IsoSurfaceMesh,
     ScalarField3D,
+    _fixed_text,
+    _float_text,
     _write,
     channel_surface,
     extract_isosurface,
@@ -454,6 +459,108 @@ def test_integer_fields_match_per_row_formatting_at_digit_boundaries(tmp_path):
         template = prefix + sep.join(["%d"] * 3) + "\n"
         reference_write(old, "h\n", (template, table), (prefix + "%d\n", table[:, :1] + 8))
         assert new.read_bytes() == old.read_bytes()
+
+
+def float_strings(values, spec):
+    """The text ``_float_text`` gives each value of a 1-d array, NULs dropped."""
+    text = _float_text(np.asarray(values, dtype=float)[:, None], spec)[:, 0]
+    return [bytes(row[row != 0]).decode("ascii") for row in text]
+
+
+def assert_formats_like_percent(values, spec):
+    values = np.asarray(values, dtype=float)
+    assert float_strings(values, spec) == [spec % v for v in values.tolist()]
+
+
+def exact_ties(rng, precision, count=100):
+    """Odd multiples m 2^-(precision - e) in [10^e, 10^(e + 1)), e = -4..0:
+    their decimal expansion ends in a 5 at significant digit precision + 1,
+    so ``%.<precision>g`` rounds an exact tie."""
+    ties = []
+    for e in range(-4, 1):
+        scale = 2.0 ** (precision - e)
+        m = rng.integers(np.ceil(10.0**e * scale), 10.0 ** (e + 1) * scale - 1, count) | 1
+        ties.append(m / scale)
+    ties = np.concatenate(ties)
+    for tie in ties[::50].tolist():
+        digits = Decimal(tie).as_tuple().digits
+        assert len(digits) == precision + 1 and digits[-1] == 5
+    return ties
+
+
+def decimal_ties(rng, precision, count=2000):
+    """The doubles nearest to (D + 1/2) 10^-k for precision-digit D, in
+    every fixed-notation decade, and both their neighbours."""
+    digits = min(precision, 15)  # D stays exact in a double
+    d = rng.integers(10 ** (digits - 1), 10**digits, count).astype(float)
+    ties = (d + 0.5) / 10.0 ** (digits - 1 + rng.integers(0, 5, count))
+    return np.concatenate((ties, np.nextafter(ties, 0.0), np.nextafter(ties, 10.0)))
+
+
+PRECISIONS = ["%.9g", "%.12g", "%.17g"]
+
+
+@pytest.mark.parametrize("spec", PRECISIONS)
+def test_float_text_matches_percent_on_rounding_ties(spec):
+    rng = np.random.default_rng(int(spec[2:-1]))
+    precision = int(spec[2:-1])
+    ties = exact_ties(rng, precision)
+    for values in (ties, np.nextafter(ties, 0.0), np.nextafter(ties, 10.0), decimal_ties(rng, precision)):
+        assert_formats_like_percent(np.concatenate((values, -values)), spec)
+
+
+@pytest.mark.parametrize("spec", PRECISIONS)
+def test_float_text_matches_percent_at_decade_edges(spec):
+    edges = np.array([10.0**k for k in range(-5, 2)] + [float(f"1e{k}") for k in range(-5, 2)])
+    values = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 100.0)])
+    # Just under an edge, the rounded digits carry into the next decade.
+    carries = np.array([float(f"{9.99999999999999:.15f}e{k}") for k in range(-6, 1)])
+    assert_formats_like_percent(np.concatenate((values, carries, -values, -carries)), spec)
+
+
+@pytest.mark.parametrize("spec", PRECISIONS)
+def test_float_text_matches_percent_on_zeros_subnormals_and_non_finite_values(spec):
+    assert_formats_like_percent(SPECIAL_FLOATS, spec)
+    assert_formats_like_percent([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.5, -1.5], spec)
+    assert_formats_like_percent([np.nan, -np.nan, np.inf, -np.inf, 1.0, np.nan], spec)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40), st.sampled_from(PRECISIONS))
+def test_float_text_matches_percent_on_any_floats(values, spec):
+    # Repeats and both zeros exercise the deduplication by bit pattern.
+    assert_formats_like_percent(values + values[::-1] + [0.0, -0.0], spec)
+
+
+def test_fixed_text_leaves_exponent_forms_ties_and_non_finite_values_to_percent():
+    rng = np.random.default_rng(9)
+    ties = exact_ties(rng, 9, count=10)
+    _, certain = _fixed_text(np.concatenate((ties, [1e-5, 9.9e-5, 10.0, 1e9, 0.0, -0.0, np.inf, np.nan])), 9)
+    assert not certain.any()
+    _, certain = _fixed_text(np.array([1e-4, 0.5, 1.25, -0.123456789, 9.5]), 9)
+    assert certain.all()
+    _, certain = _fixed_text(np.array([0.5, 1.25]), 17)
+    assert not certain.any()
+
+
+@pytest.fixture(scope="module")
+def largest_figure_meshes():
+    """The largest bd and channel figure meshes at the benchmark's 101^3."""
+    return {
+        "bd-sum": extract_isosurface(sample_bd_field("sum", 101), 0.2),
+        "channel-GAD": extract_isosurface(sample_channel_field("GAD", 0.6, 101), 0.05),
+    }
+
+
+@pytest.mark.parametrize("name", ["bd-sum", "channel-GAD"])
+def test_largest_figure_meshes_match_per_row_formatting_at_101(tmp_path, largest_figure_meshes, name):
+    assert_same_bytes(tmp_path, write_obj, reference_write_obj, largest_figure_meshes[name])
+
+
+@pytest.mark.parametrize("name", ["bd-sum", "channel-GAD"])
+def test_percent_formats_few_values_of_a_figure_chunk(largest_figure_meshes, name):
+    chunk = largest_figure_meshes[name].vertices[:_CHUNK_ROWS]
+    _, certain = _fixed_text(np.unique(chunk), 9)
+    assert (~certain).sum() < 0.01 * certain.size
 
 
 def test_writing_the_largest_figure_mesh_is_chunked():
