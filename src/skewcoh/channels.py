@@ -22,7 +22,7 @@ import numpy as np
 from .bases import OrthonormalBasis
 from .coherence import coherence
 from .linalg import EYE2, SIGMA1, SIGMA2, SIGMA3
-from .states import BellDiagonalParams, DensityMatrix, _unit_interval, bell_diagonal
+from .states import BellDiagonalParams, DensityMatrix, _bd_matrix, _unit_interval
 
 CHANNEL_KINDS = ("BF", "PF", "BPF", "GAD")
 
@@ -113,19 +113,21 @@ def gad_reduced(p) -> KrausChannel:
     return make_channel("GAD", GAD_FORM_PRESERVING_P, gamma=p)
 
 
-def _apply_products(products: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_k K_k m K_k^dagger over Kraus products K (..., n, d, d) for every m
-    of a stack (..., d, d); leading axes broadcast, pairing channels with states."""
-    return (products @ m[..., None, :, :] @ products.conj().swapaxes(-1, -2)).sum(axis=-3)
-
-
 def apply_product_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the two-qubit product channel built from a single-qubit Kraus set."""
-    if channel.operators.ndim != 3:
-        raise ValueError(f"expected one {channel.label} Kraus set, got a stack of shape {channel.operators.shape[:-3]}")
+    """Apply the two-qubit product channel built from a single-qubit Kraus
+    set: sum_k K_k rho K_k^dagger over the products K = E_i (x) E_j.  A stack
+    of channels and a stack of states pair by broadcasting their leading
+    axes; one channel and one state are the 0-d case."""
     if rho.dim != 4:
         raise ValueError(f"expected a two-qubit state, got dimension {rho.dim}")
-    return DensityMatrix(_apply_products(channel._products, rho.matrix))
+    k = channel._products
+    try:
+        np.broadcast_shapes(k.shape[:-3], rho.matrix.shape[:-2])
+    except ValueError:
+        raise ValueError(
+            f"cannot pair a {channel.label} stack of shape {k.shape[:-3]} with states of shape {rho.matrix.shape[:-2]}"
+        ) from None
+    return DensityMatrix((k @ rho.matrix[..., None, :, :] @ k.conj().swapaxes(-1, -2)).sum(axis=-3))
 
 
 def predicted_coefficients(kind: str, params: BellDiagonalParams, p: float) -> BellDiagonalParams:
@@ -156,20 +158,12 @@ def channel_as_kraus(kind: str, p) -> KrausChannel:
     return gad_reduced(p) if kind == "GAD" else make_channel(kind, p)
 
 
-def dynamics_curve(
-    kind: str,
-    params: BellDiagonalParams,
-    basis: OrthonormalBasis,
-    p_grid,
-) -> list[tuple[float, float]]:
-    """Coherence of the channel output at each p on the grid.
+def dynamics_curve(kind: str, params: BellDiagonalParams, basis: OrthonormalBasis, p_grid) -> np.ndarray:
+    """Coherence of the channel output at each p of the grid, as an array.
 
     Evaluated through the coefficient map (the input is Bell-diagonal, so
-    the output state is Bell-diagonal too) with the numeric coherence route
-    on the resulting state.
+    the output state is Bell-diagonal too), with the numeric coherence route
+    on the stack of mapped states.
     """
-    out = []
-    for p in np.asarray(p_grid, dtype=float):
-        moved = bell_diagonal(predicted_coefficients(kind, params, float(p)))
-        out.append((float(p), coherence(moved, basis)))
-    return out
+    mapped = predicted_coefficient_grid(kind, *params.triple, np.asarray(p_grid, dtype=float))
+    return coherence(DensityMatrix(_bd_matrix(*(c[..., None, None] for c in mapped))), basis)

@@ -50,7 +50,8 @@ EXIT_NUMERIC = 3
 OUTPUT_DIR_ENV = "SKEWCOH_OUT"
 
 # Points of a `coherence --grid` or `dynamics --points` curve: a step of
-# 1e-4 at the cap, where dynamics takes about 4 s (0.4 ms a point).
+# 1e-4 at the cap, where dynamics evaluates each curve as one stack of
+# states and takes about 0.3 s in-process on one core, writing included.
 MAX_POINTS = 10_001
 
 BD_FIELDS = ("bd-a1", "bd-a2", "bd-a3", "bd-sum")
@@ -128,7 +129,7 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         xs = _unit_grid(args.grid, "--grid")
         curve = sf.werner_curve(xs) if args.family == "werner" else sf.isotropic_curve(xs)
         out = _out_dir(args) / f"curve_{args.family}.csv"
-        sf.write_curve_csv(curve, out, header=f"{curve.parameter},C")
+        sf.write_curve_csv(curve, out)
         print(out)
         return EXIT_OK
 
@@ -203,7 +204,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
         _warn(f"level {args.level:g} exceeds the field maximum; the mesh is empty")
     out = _out_dir(args)
     writer = sf.write_obj if args.format == "obj" else sf.write_ply
-    path = writer(mesh, out / f"surface_{field.name}_level{args.level:g}.{args.format}")
+    path = writer(mesh, out / f"surface_{field.name}_level{sf._tag(args.level)}.{args.format}")
     print(path)
     if args.field_csv:
         print(sf.write_field_csv(field, out / f"field_{field.name}.csv"))
@@ -216,8 +217,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     grid = _unit_grid(args.points, "--points")
     out = _out_dir(args)
     for kind in CHANNEL_KINDS:
-        samples = dynamics_curve(kind, params, basis, grid)
-        curve = sf.Curve1D(parameter="p", xs=[p for p, _ in samples], values=[v for _, v in samples])
+        curve = sf.Curve1D(parameter="p", xs=grid, values=dynamics_curve(kind, params, basis, grid))
         print(sf.write_curve_csv(curve, out / f"dynamics_{kind}.csv"))
     return EXIT_OK
 
@@ -303,9 +303,12 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
     the subcommand) takes ``true``, which inserts the bare flag, or
     ``false``, which inserts nothing.
     """
-    i = next((j for j, token in enumerate(argv) if token == "--config" or token.startswith("--config=")), None)
-    if i is None:
+    given = [j for j, token in enumerate(argv) if token == "--config" or token.startswith("--config=")]
+    if not given:
         return argv
+    if len(given) > 1:
+        raise ValueError("--config may be given only once")
+    i = given[0]
     if argv[i] == "--config":
         if i + 1 >= len(argv):
             raise ValueError("--config requires a file path")
@@ -325,6 +328,8 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
         if "=" not in line:
             raise ValueError(f"config line {line!r} is not key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise ValueError(f"config line {line!r}: --config may be given only once")
         if f"--{key}" not in switches:
             pairs += [f"--{key}", value]
         elif value not in ("true", "false"):

@@ -50,18 +50,19 @@ def _clamp(x):
     return x
 
 
-def skew_information(rho: DensityMatrix, observable: np.ndarray) -> float:
-    """Wigner-Yanase skew information -1/2 tr([sqrt(rho), K]^2).
+def skew_information(rho: DensityMatrix, observable: np.ndarray):
+    """Wigner-Yanase skew information -1/2 tr([sqrt(rho), K]^2), one value
+    per state of a stack (a float for one state).
 
     K must be Hermitian; the commutator is then anti-Hermitian, making the
     result real and nonnegative up to rounding.
     """
     k = require_hermitian(observable)
-    if k.shape[0] != rho.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, observable {k.shape[0]}")
+    if k.shape[-1] != rho.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, observable {k.shape[-1]}")
     root = rho._root
     comm = root @ k - k @ root
-    return float(_clamp((-0.5 * np.trace(comm @ comm)).real))
+    return _clamp((-0.5 * np.trace(comm @ comm, axis1=-2, axis2=-1)).real)[()]
 
 
 def _basis_or_computational(rho: DensityMatrix, basis: OrthonormalBasis | None) -> np.ndarray:
@@ -72,28 +73,24 @@ def _basis_or_computational(rho: DensityMatrix, basis: OrthonormalBasis | None) 
     return basis.vectors
 
 
-def _coherence_values(roots: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """The numeric kernel: 1 - sum_k <b_k| R |b_k>^2 for every root R of a
-    stack (shape (..., d, d)), with the kets b_k the rows of ``vecs``."""
-    diag = np.einsum("ki,...ij,kj->...k", vecs.conj(), roots, vecs).real
-    return _clamp(1.0 - (diag**2).sum(axis=-1))
-
-
-def coherence(rho: DensityMatrix, basis: OrthonormalBasis | None = None) -> float:
-    """Numeric coherence 1 - sum_k <b_k| sqrt(rho) |b_k>^2.
+def coherence(rho: DensityMatrix, basis: OrthonormalBasis | None = None):
+    """Numeric coherence 1 - sum_k <b_k| sqrt(rho) |b_k>^2, one value per
+    state of a stack (a float for one state).
 
     ``basis=None`` means the computational basis.  This is the normative
     route every closed form is checked against.
     """
-    return float(_coherence_values(rho._root, _basis_or_computational(rho, basis)))
+    vecs = _basis_or_computational(rho, basis)
+    diag = np.einsum("ki,...ij,kj->...k", vecs.conj(), rho._root, vecs).real
+    return _clamp(1.0 - (diag**2).sum(axis=-1))[()]
 
 
-def coherence_from_skew_information(rho: DensityMatrix, basis: OrthonormalBasis | None = None) -> float:
+def coherence_from_skew_information(rho: DensityMatrix, basis: OrthonormalBasis | None = None):
     """The same measure evaluated as a sum of skew informations over the
     basis projectors; independent of :func:`coherence` and used to
     cross-check it."""
     vecs = _basis_or_computational(rho, basis)
-    return float(_clamp(sum(skew_information(rho, np.outer(v, v.conj())) for v in vecs)))
+    return _clamp(sum(skew_information(rho, np.outer(v, v.conj())) for v in vecs))[()]
 
 
 def coherence_bound(dim: int) -> float:
@@ -271,23 +268,26 @@ def xz_coherence_sum_candidate(r, s, c1, c2, c3):
 # -- comparison measures -------------------------------------------------------
 
 
-def l1_coherence(rho: DensityMatrix, basis: OrthonormalBasis | None = None) -> float:
-    """Sum of off-diagonal magnitudes of rho in the given basis."""
+def _in_basis(rho: DensityMatrix, basis: OrthonormalBasis | None) -> np.ndarray:
     vecs = _basis_or_computational(rho, basis)
-    m = vecs.conj() @ rho.matrix @ vecs.T
-    return float(np.abs(m).sum() - np.abs(np.diag(m)).sum())
+    return vecs.conj() @ rho.matrix @ vecs.T
 
 
-def _entropy_bits(probabilities: np.ndarray) -> float:
-    p = np.clip(probabilities.real, 0.0, None)
-    p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum())
+def l1_coherence(rho: DensityMatrix, basis: OrthonormalBasis | None = None):
+    """Sum of off-diagonal magnitudes of rho in the given basis, one value
+    per state of a stack (a float for one state)."""
+    m = np.abs(_in_basis(rho, basis))
+    return (m.sum(axis=(-2, -1)) - np.diagonal(m, axis1=-2, axis2=-1).sum(axis=-1))[()]
 
 
-def relative_entropy_coherence(rho: DensityMatrix, basis: OrthonormalBasis | None = None) -> float:
-    """S(diag(rho)) - S(rho) in bits, with diag taken in the given basis."""
-    vecs = _basis_or_computational(rho, basis)
-    m = vecs.conj() @ rho.matrix @ vecs.T
-    diag_entropy = _entropy_bits(np.diag(m).real)
-    state_entropy = _entropy_bits(np.linalg.eigvalsh(rho.matrix))
-    return max(diag_entropy - state_entropy, 0.0)
+def _entropy_bits(probabilities: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the last axis, negative rounding noise taken as 0."""
+    p = np.clip(probabilities, 0.0, None)
+    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1)
+
+
+def relative_entropy_coherence(rho: DensityMatrix, basis: OrthonormalBasis | None = None):
+    """S(diag(rho)) - S(rho) in bits, with diag taken in the given basis, one
+    value per state of a stack (a float for one state)."""
+    diag = np.diagonal(_in_basis(rho, basis), axis1=-2, axis2=-1).real
+    return np.maximum(_entropy_bits(diag) - _entropy_bits(np.linalg.eigvalsh(rho.matrix)), 0.0)[()]

@@ -33,21 +33,30 @@ for _m in (PAULI_PAIRS, LOCAL_PAULIS_A, LOCAL_PAULIS_B):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A quantum state: Hermitian, unit trace, positive semidefinite.
+    """A quantum state, or a stack of them (``matrix`` of shape (..., d, d)):
+    Hermitian, unit trace, positive semidefinite.
 
-    All three properties are checked on construction (finite entries,
-    hermiticity to ``HERMITICITY_TOL`` and eigenvalues down to
-    ``PSD_FLOOR`` by :func:`sqrt_psd`, then the trace to ``STATE_TOL``),
-    and the stored array is frozen so instances stay immutable.  The eigensolve that checks positivity
-    also gives the PSD square root, kept as ``_root`` so the numeric
-    coherence routes never diagonalize the state again.
+    All three properties are checked on construction, for every state of a
+    stack, by the one stacked eigensolve of :func:`sqrt_psd` (finite
+    entries, hermiticity to ``HERMITICITY_TOL`` and eigenvalues down to
+    ``PSD_FLOOR``), then the trace to ``STATE_TOL``.  The stored array is
+    frozen so instances stay immutable.  The eigensolve also gives the PSD
+    square roots, kept as ``_root`` so the numeric coherence routes never
+    diagonalize a state again.  A single state is the 0-d case of a stack.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_square(self.matrix).copy()
-        root = _state_roots(m)
+        m = np.array(self.matrix, dtype=complex)
+        try:
+            root = sqrt_psd(m)
+        except ValueError as exc:
+            raise ValueError(f"not a state: {exc}") from None
+        tr = m.trace(axis1=-2, axis2=-1)
+        off = abs(tr - 1.0) > STATE_TOL
+        if np.count_nonzero(off):
+            raise ValueError(f"not a state: trace {np.extract(off, tr)[0]:.12g} != 1")
         m.flags.writeable = False
         root.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -55,23 +64,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def _state_roots(m: np.ndarray) -> np.ndarray:
-    """The PSD square roots of one state or a stack (shape (..., d, d)),
-    validated: finite entries, hermiticity and eigenvalues down to
-    ``PSD_FLOOR`` from the one eigensolve that gives the roots, then unit
-    trace to ``STATE_TOL``."""
-    try:
-        root = sqrt_psd(m)
-    except ValueError as exc:
-        raise ValueError(f"not a state: {exc}") from None
-    tr = m.trace(axis1=-2, axis2=-1)
-    off = abs(tr - 1.0) > STATE_TOL
-    if np.count_nonzero(off):
-        raise ValueError(f"not a state: trace {np.extract(off, tr)[0]:.12g} != 1")
-    return root
+        return self.matrix.shape[-1]
 
 
 def tetrahedron_margins(c1: float, c2: float, c3: float) -> tuple[float, float, float, float]:

@@ -115,6 +115,13 @@ class Curve1D:
         object.__setattr__(self, "values", values)
 
 
+def _tag(x: float) -> str:
+    """A parameter value as it appears in a file name: the shortest text that
+    reads back as the same float (``repr``), without a trailing ``.0``, so
+    two distinct values never share a name."""
+    return repr(float(x)).removesuffix(".0")
+
+
 _SLAB_ROWS = 8  # c1 rows per kernel call in _sample
 
 
@@ -152,7 +159,7 @@ def sample_xz_field(r: float, s: float, measure: str = "a1", resolution: int = 1
     grow; non-physical points carry NaN.
     """
     axis, values = _sample(lambda *c: xz_coherence_values(r, s, *c, measure), resolution)
-    return ScalarField3D(axis=axis, values=values, name=f"xz-{measure}_r{r:g}_s{s:g}")
+    return ScalarField3D(axis=axis, values=values, name=f"xz-{measure}_r{_tag(r)}_s{_tag(s)}")
 
 
 def sample_channel_field(kind: str, p: float, resolution: int = 101) -> ScalarField3D:
@@ -166,7 +173,7 @@ def sample_channel_field(kind: str, p: float, resolution: int = 101) -> ScalarFi
     p = 0.
     """
     axis, values = _sample(lambda *c: bd_coherence_values(*predicted_coefficient_grid(kind, *c, p), "a1"), resolution)
-    return ScalarField3D(axis=axis, values=values, name=f"channel-{kind}_p{p:g}")
+    return ScalarField3D(axis=axis, values=values, name=f"channel-{kind}_p{_tag(p)}")
 
 
 def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
@@ -445,6 +452,6 @@ def write_field_csv(field: ScalarField3D, path: str | Path) -> Path:
     return _write(path, "c1,c2,c3,value\n", ("", "%.9g", ",", table))
 
 
-def write_curve_csv(curve: Curve1D, path: str | Path, header: str = "p,C", digits: int = 12) -> Path:
+def write_curve_csv(curve: Curve1D, path: str | Path) -> Path:
     table = np.stack((curve.xs, curve.values), axis=1)
-    return _write(path, f"{header}\n", ("", f"%.{digits}g", ",", table))
+    return _write(path, f"{curve.parameter},C\n", ("", "%.12g", ",", table))

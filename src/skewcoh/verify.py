@@ -18,7 +18,6 @@ from . import channels as ch
 from . import surfaces as sf
 from .bases import AMUB_LABELS, amub_basis, amub_from_mubs, qubit_mubs, represent_in_basis, verify_amub, verify_mub
 from .coherence import (
-    _coherence_values,
     _xz_values,
     bd_coherence_values,
     coherence,
@@ -32,7 +31,6 @@ from .coherence import (
 )
 from .linalg import require_hermitian, sqrt_psd
 from .states import (
-    EYE4,
     LOCAL_PAULIS_A,
     LOCAL_PAULIS_B,
     PAULI_PAIRS,
@@ -43,7 +41,6 @@ from .states import (
     _bd_matrix,
     _isotropic_coefficients,
     _pauli_traces,
-    _state_roots,
     _werner_coefficients,
     _xz_margins,
     _xz_matrix,
@@ -234,16 +231,15 @@ def suite_bases(rng: np.random.Generator, samples: int | None = None) -> SuiteRe
         for lab, in_basis in zip(AMUB_LABELS, _numeric(_bd_matrix, c)):
             rotated = represent_in_basis(m, amub_basis(lab))
             worst_spec = max(worst_spec, _worst(np.linalg.eigvalsh(rotated) - spectrum))
-            worst_coh = max(worst_coh, _worst(_coherence_values(_state_roots(rotated), EYE4) - in_basis))
+            worst_coh = max(worst_coh, _worst(coherence(DensityMatrix(rotated)) - in_basis))
     res.dev("spectrum preserved under change of basis", worst_spec, 1e-10)
     res.dev("coherence via rotated state equals coherence in basis", worst_coh, 1e-10)
 
     worst_rt = 0.0
     for ks in _chunks(samples or 1000):
         c = random_bell_params(rng, len(ks))
-        m = _bd_matrix(*c.T[..., None, None])
-        _state_roots(m)
-        worst_rt = max(worst_rt, _worst(_pauli_traces(m, PAULI_PAIRS) - c))
+        rho = DensityMatrix(_bd_matrix(*c.T[..., None, None]))
+        worst_rt = max(worst_rt, _worst(_pauli_traces(rho.matrix, PAULI_PAIRS) - c))
     res.dev("correlation-coefficient round trip", worst_rt, 1e-12)
     return res
 
@@ -254,9 +250,9 @@ def _numeric(matrix_of, params: np.ndarray) -> np.ndarray:
     evaluated CHUNK_STATES states at a time."""
     values = np.empty((len(AMUB_LABELS), len(params)))
     for ks in _chunks(len(params)):
-        roots = _state_roots(matrix_of(*params[ks.start : ks.stop].T[..., None, None]))
+        rho = DensityMatrix(matrix_of(*params[ks.start : ks.stop].T[..., None, None]))
         for row, lab in zip(values, AMUB_LABELS):
-            row[ks.start : ks.stop] = _coherence_values(roots, amub_basis(lab).vectors)
+            row[ks.start : ks.stop] = coherence(rho, amub_basis(lab))
     return values
 
 
@@ -376,11 +372,9 @@ def suite_coefficient_table(rng: np.random.Generator, samples: int | None = None
     worst_map = worst_bloch = 0.0
     for ks in _chunks(n):
         c_k, p_k = c[ks.start : ks.stop].T, p[ks.start : ks.stop]
-        m = _bd_matrix(*c_k[..., None, None])
-        _state_roots(m)
+        rho = DensityMatrix(_bd_matrix(*c_k[..., None, None]))
         for kind in ch.CHANNEL_KINDS:
-            moved = ch._apply_products(ch.channel_as_kraus(kind, p_k)._products, m)
-            _state_roots(moved)
+            moved = ch.apply_product_channel(ch.channel_as_kraus(kind, p_k), rho).matrix
             want = np.stack(ch.predicted_coefficient_grid(kind, *c_k, p_k), axis=-1)
             worst_map = max(worst_map, _worst(_pauli_traces(moved, PAULI_PAIRS) - want))
             bloch = [_pauli_traces(moved, ops) for ops in (LOCAL_PAULIS_A, LOCAL_PAULIS_B)]
@@ -393,8 +387,7 @@ def suite_coefficient_table(rng: np.random.Generator, samples: int | None = None
     probe = BellDiagonalParams(-0.2, 0.6, 0.6)
     strengths = np.array([0.3, 0.7, 0.3, 0.7])
     probe_channels = ch.make_channel("GAD", [0.2, 0.2, 0.8, 0.8], gamma=strengths)
-    moved = ch._apply_products(probe_channels._products, bell_diagonal(probe).matrix)
-    _state_roots(moved)
+    moved = ch.apply_product_channel(probe_channels, bell_diagonal(probe)).matrix
     want = np.stack(ch.predicted_coefficient_grid("GAD", *probe.triple, strengths), axis=-1)
     worst_off = _worst(_pauli_traces(moved, PAULI_PAIRS) - want)
     res.warnings.append(
@@ -417,12 +410,10 @@ def suite_cptp(rng: np.random.Generator, samples: int | None = None) -> SuiteRes
                 gammas.append(rng.uniform(0.0, 1.0))
         m = np.array(psds)
         m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
-        _state_roots(m)
         # Chunks start at multiples of four, so draws j::4 of a chunk are one stack of kinds[j].
         for j in range(min(len(kinds), len(ks))):
             channels = ch.make_channel(kinds[j], ps[j :: len(kinds)], gammas if kinds[j] == "GAD" else None)
-            moved = ch._apply_products(channels._products, m[j :: len(kinds)])
-            _state_roots(moved)
+            moved = ch.apply_product_channel(channels, DensityMatrix(m[j :: len(kinds)])).matrix
             worst_trace = max(worst_trace, _worst(np.trace(moved, axis1=-2, axis2=-1).real - 1.0))
             worst_eig = max(worst_eig, _worst(np.minimum(np.linalg.eigvalsh(moved)[:, 0], 0.0)))
     res.dev(f"trace preservation over {n} random states", worst_trace, 1e-12)
@@ -437,17 +428,15 @@ def suite_dynamics(rng: np.random.Generator, samples: int | None = None) -> Suit
     worst_step = 0.0
     worst_cross = 0.0
     endpoints = {}
+    spots = [0, 33, 66, 100]
     for prm in DYNAMICS_PARAMETER_SETS:
         state = bell_diagonal(prm)
         for kind in ch.CHANNEL_KINDS:
-            curve = ch.dynamics_curve(kind, prm, basis, grid)
-            values = np.array([v for _, v in curve])
+            values = ch.dynamics_curve(kind, prm, basis, grid)
             worst_step = max(worst_step, float(np.diff(values).max()))
             endpoints[(prm.triple, kind)] = values[-1]
-            for p_idx in (0, 33, 66, 100):
-                p = grid[p_idx]
-                moved = ch.apply_product_channel(ch.channel_as_kraus(kind, float(p)), state)
-                worst_cross = max(worst_cross, abs(coherence(moved, basis) - values[p_idx]))
+            moved = ch.apply_product_channel(ch.channel_as_kraus(kind, grid[spots]), state)
+            worst_cross = max(worst_cross, _worst(coherence(moved, basis) - values[spots]))
     res.dev("all 8 curves non-increasing (max upward step)", worst_step, 1e-10)
     res.dev("coefficient-map curve vs Kraus evolution (spot p)", worst_cross, 1e-12)
     worst_pf = max(v for (c, kind), v in endpoints.items() if kind == "PF")

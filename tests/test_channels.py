@@ -169,12 +169,27 @@ class TestProductChannel:
         with pytest.raises(ValueError, match="two-qubit"):
             apply_product_channel(make_channel("BF", 0.1), single)
 
-    def test_stacked_channel_is_named(self):
-        state = bell_diagonal(FIG_PARAMS[0])
-        with pytest.raises(ValueError, match=r"^expected one BF Kraus set, got a stack of shape \(2,\)$"):
-            apply_product_channel(make_channel("BF", [0.1, 0.2]), state)
-        with pytest.raises(ValueError, match=r"^expected one GAD Kraus set, got a stack of shape \(2, 3\)$"):
-            apply_product_channel(make_channel("GAD", [[0.5]] * 2, [0.1, 0.2, 0.3]), state)
+    def test_channel_stack_pairs_with_state_stack(self):
+        # a (2, 3) GAD stack against two states broadcast along a new axis
+        states = [bell_diagonal(prm) for prm in FIG_PARAMS]
+        p, gamma = [[0.2], [0.9]], [0.1, 0.5, 1.0]
+        stack = DensityMatrix(np.array([[rho.matrix] for rho in states]))
+        moved = apply_product_channel(make_channel("GAD", p, gamma), stack)
+        assert moved.matrix.shape == (2, 3, 4, 4)
+        for i, rho in enumerate(states):
+            for j, g in enumerate(gamma):
+                one = apply_product_channel(make_channel("GAD", p[i][0], g), rho)
+                assert np.array_equal(moved.matrix[i, j], one.matrix)
+        # one state against a stack of channels, and a stack of states against one channel
+        single = apply_product_channel(make_channel("BF", [0.1, 0.2]), states[0]).matrix
+        assert np.array_equal(single[1], apply_product_channel(make_channel("BF", 0.2), states[0]).matrix)
+        both = apply_product_channel(make_channel("BF", 0.2), DensityMatrix([rho.matrix for rho in states])).matrix
+        assert np.array_equal(both[1], apply_product_channel(make_channel("BF", 0.2), states[1]).matrix)
+
+    def test_unpaired_stacks_rejected(self):
+        states = DensityMatrix(np.array([bell_diagonal(prm).matrix for prm in FIG_PARAMS]))
+        with pytest.raises(ValueError, match=r"^cannot pair a BF stack of shape \(3,\) with states of shape \(2,\)$"):
+            apply_product_channel(make_channel("BF", [0.1, 0.2, 0.3]), states)
 
 
 class TestPredictedCoefficients:
@@ -224,20 +239,21 @@ class TestDynamicsCurve:
         for params in FIG_PARAMS:
             for kind in ("PF", "GAD"):
                 curve = dynamics_curve(kind, params, basis, [0.0, 1.0])
-                assert curve[-1][1] <= 1e-12
+                assert curve[-1] <= 1e-12
 
     def test_starts_at_input_coherence(self):
         basis = amub_basis("a1")
         for kind in CHANNEL_KINDS:
             curve = dynamics_curve(kind, FIG_PARAMS[0], basis, [0.0, 0.5])
-            assert curve[0][1] == pytest.approx(coherence(bell_diagonal(FIG_PARAMS[0]), basis), abs=1e-12)
+            assert curve[0] == pytest.approx(coherence(bell_diagonal(FIG_PARAMS[0]), basis), abs=1e-12)
 
     def test_monotone_decrease(self):
         basis = amub_basis("a1")
         grid = np.linspace(0.0, 1.0, 101)
         for params in FIG_PARAMS:
             for kind in CHANNEL_KINDS:
-                values = np.array([v for _, v in dynamics_curve(kind, params, basis, grid)])
+                values = dynamics_curve(kind, params, basis, grid)
+                assert values.shape == grid.shape
                 assert np.diff(values).max() <= 1e-10
 
     def test_matches_kraus_route(self):
@@ -245,9 +261,30 @@ class TestDynamicsCurve:
         state = bell_diagonal(FIG_PARAMS[1])
         for kind in CHANNEL_KINDS:
             for p in (0.2, 0.7):
-                (_, predicted), = dynamics_curve(kind, FIG_PARAMS[1], basis, [p])
+                (predicted,) = dynamics_curve(kind, FIG_PARAMS[1], basis, [p])
                 moved = apply_product_channel(channel_as_kraus(kind, p), state)
                 assert predicted == pytest.approx(coherence(moved, basis), abs=1e-12)
+
+    def test_equals_per_state_values(self):
+        # the stacked curve is the per-point route bit for bit
+        grid = np.linspace(0.0, 1.0, 101)
+        for kind in CHANNEL_KINDS:
+            values = dynamics_curve(kind, FIG_PARAMS[0], amub_basis("a3"), grid)
+            for p, value in zip(grid[::10], values[::10]):
+                moved = bell_diagonal(predicted_coefficients(kind, FIG_PARAMS[0], float(p)))
+                assert value == coherence(moved, amub_basis("a3"))
+        assert isinstance(dynamics_curve("BF", FIG_PARAMS[0], amub_basis("a1"), 0.5), float)
+
+    def test_largest_grid_matches_kraus_route(self):
+        grid = np.linspace(0.0, 1.0, 10_001)
+        spots = [0, 1, 2_500, 3_333, 7_777, 9_999, 10_000]
+        basis = amub_basis("a1")
+        state = bell_diagonal(FIG_PARAMS[0])
+        for kind in CHANNEL_KINDS:
+            values = dynamics_curve(kind, FIG_PARAMS[0], basis, grid)
+            assert values.shape == (10_001,)
+            moved = apply_product_channel(channel_as_kraus(kind, grid[spots]), state)
+            assert np.abs(coherence(moved, basis) - values[spots]).max() <= 1e-12
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="outside"):

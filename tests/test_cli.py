@@ -141,6 +141,17 @@ class TestSurfaceCommand:
         assert str(path) in out
         assert path.stat().st_size > 0
 
+    def test_close_levels_write_two_files(self, capsys, tmp_path):
+        # %g would name both level0.1; each value keeps its own name
+        for level in ("0.1", "0.1000001"):
+            code, out, _ = run(
+                capsys, "surface", "--field", "bd-a1", "--level", level,
+                "--resolution", "21", "--out", str(tmp_path),
+            )
+            assert code == 0
+            assert (tmp_path / f"surface_bd-a1_level{level}.obj").exists()
+        assert len(list(tmp_path.glob("*.obj"))) == 2
+
     def test_empty_mesh_warns(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "surface", "--field", "bd-a1", "--level", "0.6",
@@ -490,3 +501,18 @@ class TestConfigFile:
             assert code == cli.EXIT_BAD_ARGS
             assert out == ""
             assert "unrecognized arguments" in err
+
+    def test_repeated_config_exits_2_naming_the_flag(self, capsys, tmp_path):
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text("field=bd-a1\nlevel=0.2\nresolution=21\n")
+        b.write_text("field=bd-a1\nlevel=0.1\nresolution=21\n")
+        for given in (["--config", str(a), "--config", str(b)], ["--config", str(a), f"--config={b}"]):
+            code, out, err = run(capsys, "surface", *given, "--out", str(tmp_path))
+            assert code == cli.EXIT_BAD_ARGS
+            assert out == ""
+            assert "--config may be given only once" in err
+        a.write_text(f"field=bd-a1\nlevel=0.2\nconfig={b}\n")
+        code, out, err = run(capsys, "surface", "--config", str(a), "--out", str(tmp_path))
+        assert code == cli.EXIT_BAD_ARGS
+        assert "--config may be given only once" in err
+        assert not list(tmp_path.glob("*.obj"))

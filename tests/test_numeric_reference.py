@@ -5,8 +5,8 @@ the channel is built; the per-pair ``kron`` loop it replaced is kept here
 as the reference.  ``sqrt_psd`` keeps the arithmetic of a plain
 ``np.linalg.eigh`` root and ``_xz_matrix``/``local_bloch_vectors`` use
 hoisted Pauli products, so those three must agree bit for bit.  On a
-stack of states, the roots, the coherence kernel, the state matrices, the
-channel kernel and the Pauli read-back kernel must equal the per-state
+stack of states, ``DensityMatrix``, every measure, ``apply_product_channel``,
+the state matrices and the Pauli read-back kernel must equal the per-state
 results bit for bit.
 """
 
@@ -17,12 +17,17 @@ from skewcoh.bases import AMUB_LABELS, amub_basis
 from skewcoh.channels import (
     CHANNEL_KINDS,
     KrausChannel,
-    _apply_products,
     apply_product_channel,
     channel_as_kraus,
     make_channel,
 )
-from skewcoh.coherence import _coherence_values, coherence
+from skewcoh.coherence import (
+    coherence,
+    coherence_from_skew_information,
+    l1_coherence,
+    relative_entropy_coherence,
+    skew_information,
+)
 from skewcoh.linalg import EYE2, PSD_FLOOR, SIGMA1, SIGMA2, SIGMA3, require_hermitian, sqrt_psd
 from skewcoh.states import (
     LOCAL_PAULIS_A,
@@ -32,7 +37,6 @@ from skewcoh.states import (
     DensityMatrix,
     _bd_matrix,
     _pauli_traces,
-    _state_roots,
     _xz_matrix,
     bell_diagonal,
     correlation_coefficients,
@@ -190,15 +194,48 @@ def test_stacked_sqrt_psd_equals_per_state():
 
 def test_stacked_kernel_equals_per_state_coherence():
     stack = stack_of_states()
-    roots = _state_roots(stack)
+    rho = DensityMatrix(stack)
+    assert rho.matrix.shape == stack.shape and not rho.matrix.flags.writeable
     states = [DensityMatrix(m) for m in stack]
-    for root, rho in zip(roots, states):
-        assert np.array_equal(root, rho._root)
     for lab in AMUB_LABELS:
         basis = amub_basis(lab)
-        values = _coherence_values(roots, basis.vectors)
+        values = coherence(rho, basis)
         assert values.shape == (len(stack),)
-        assert [float(v) for v in values] == [coherence(rho, basis) for rho in states]
+        assert [float(v) for v in values] == [coherence(one, basis) for one in states]
+    # a (2, n, 4, 4) stack gives a (2, n) array of values
+    both = coherence(DensityMatrix(np.stack([stack, stack[::-1]])))
+    assert np.array_equal(both, [coherence(rho), coherence(rho)[::-1]])
+
+
+MEASURES = (coherence, coherence_from_skew_information, l1_coherence, relative_entropy_coherence)
+
+
+def test_one_state_is_the_0d_case():
+    rho = DensityMatrix(stack_of_states()[9])
+    assert rho.dim == 4
+    values = [f(rho, amub_basis("a2")) for f in MEASURES] + [skew_information(rho, PAULI_PAIRS[0])]
+    assert all(isinstance(v, float) for v in values)
+
+
+@pytest.mark.parametrize("measure", MEASURES[1:], ids=lambda f: f.__name__)
+def test_stacked_measure_equals_per_state(measure):
+    stack = stack_of_states()
+    rho = DensityMatrix(stack)
+    states = [DensityMatrix(m) for m in stack]
+    for basis in (None, amub_basis("a3")):
+        values = measure(rho, basis)
+        assert values.shape == (len(stack),)
+        assert [float(v) for v in values] == [measure(one, basis) for one in states]
+
+
+def test_stacked_skew_information_equals_per_state():
+    stack = stack_of_states()
+    rho = DensityMatrix(stack)
+    states = [DensityMatrix(m) for m in stack]
+    for observable in (*PAULI_PAIRS, LOCAL_PAULIS_A[2]):
+        values = skew_information(rho, observable)
+        assert values.shape == (len(stack),)
+        assert [float(v) for v in values] == [skew_information(one, observable) for one in states]
 
 
 def test_stacked_state_matrices_equal_per_state():
@@ -222,7 +259,7 @@ def test_stack_with_one_bad_matrix_rejected(message):
     stack = stack_of_states()
     stack[17] = BAD_STATES[message]
     with pytest.raises(ValueError, match=f"^not a state: .*{message}"):
-        _state_roots(stack)
+        DensityMatrix(stack)
     if message != "trace":
         with pytest.raises(ValueError, match=message):
             sqrt_psd(stack)
@@ -236,7 +273,7 @@ def test_non_finite_entries_rejected(bad):
     stack[17, 2, 2] = bad
     for m in (single, stack):
         with pytest.raises(ValueError, match="^not a state: non-finite entries"):
-            _state_roots(m)
+            DensityMatrix(m)
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]))
 
@@ -244,9 +281,10 @@ def test_non_finite_entries_rejected(bad):
 def test_empty_stacks():
     empty = np.zeros((0, 4, 4), dtype=complex)
     assert sqrt_psd(empty).shape == (0, 4, 4)
-    roots = _state_roots(empty)
-    assert roots.shape == (0, 4, 4)
-    assert _coherence_values(roots, amub_basis("a1").vectors).shape == (0,)
+    rho = DensityMatrix(empty)
+    assert rho.matrix.shape == (0, 4, 4)
+    assert coherence(rho, amub_basis("a1")).shape == (0,)
+    assert apply_product_channel(make_channel("BF", 0.3), rho).matrix.shape == (0, 4, 4)
 
 
 def channel_states():
@@ -261,7 +299,7 @@ def test_stacked_channel_application_equals_per_state(kind):
     stack, states = channel_states()
     for p in (0.0, 0.05, 0.37, 0.5, 0.91, 1.0):
         channel = channel_as_kraus(kind, p)
-        moved = _apply_products(channel._products, stack)
+        moved = apply_product_channel(channel, DensityMatrix(stack)).matrix
         assert moved.shape == stack.shape
         for m, rho in zip(moved, states):
             assert np.array_equal(m, apply_product_channel(channel, rho).matrix)
@@ -272,10 +310,10 @@ def test_stack_of_channels_equals_per_state():
     # state, paired along the leading axis as the cptp suite pairs them.
     stack, states = channel_states()
     grid = [(p, gamma) for p in (0.0, 0.2, 0.5, 0.83, 1.0) for gamma in (0.0, 0.3, 0.64, 1.0)]
-    channels = [make_channel("GAD", *grid[i % len(grid)]) for i in range(len(states))]
-    moved = _apply_products(np.array([channel._products for channel in channels]), stack)
-    for m, channel, rho in zip(moved, channels, states):
-        assert np.array_equal(m, apply_product_channel(channel, rho).matrix)
+    ps, gammas = np.array([grid[i % len(grid)] for i in range(len(states))]).T
+    moved = apply_product_channel(make_channel("GAD", ps, gamma=gammas), DensityMatrix(stack)).matrix
+    for m, p, gamma, rho in zip(moved, ps, gammas, states):
+        assert np.array_equal(m, apply_product_channel(make_channel("GAD", p, gamma=gamma), rho).matrix)
 
 
 def test_stacked_read_back_equals_per_state():

@@ -127,6 +127,12 @@ class TestXzFieldSampling:
         shrunk = sample_xz_field(0.1, 0.1, "a1", RES)
         assert shrunk.physical_fraction() < bd_a1.physical_fraction()
 
+    def test_names_tell_close_values_apart(self):
+        assert sample_xz_field(0.1, 0.3, "sum", 5).name == "xz-sum_r0.1_s0.3"
+        assert sample_xz_field(0.1, 0.3000001, "sum", 5).name == "xz-sum_r0.1_s0.3000001"
+        assert sample_channel_field("GAD", 1.0, 5).name == "channel-GAD_p1"
+        assert sample_channel_field("GAD", 0.6000001, 5).name == "channel-GAD_p0.6000001"
+
     def test_origin_with_polarization_still_incoherent(self):
         # the state is diagonal in the computational product basis there
         field = sample_xz_field(0.1, 0.1, "a1", RES)
