@@ -3,16 +3,12 @@ unbiased bases: numeric evaluation, closed forms, local noise channels,
 and constant-coherence level surfaces."""
 
 from .bases import (
-    AmubSet,
-    MubSet,
     OrthonormalBasis,
     amub_basis,
     amub_from_mubs,
-    computational_basis,
     qubit_amubs,
     qubit_mubs,
     represent_in_basis,
-    verify_amub,
     verify_mub,
 )
 from .channels import (

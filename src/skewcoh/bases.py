@@ -1,22 +1,25 @@
 """Reference bases: qubit mutually unbiased bases, their tensor squares,
 unbiasedness certification, and change of basis for density matrices.
 
-The three qubit bases are the eigenbases of sigma3, sigma1 and sigma2 with
-the conventional phases; tensoring each basis with itself yields three
-four-dimensional bases whose cross overlaps all have magnitude 1/2.  That
+A basis is an :class:`OrthonormalBasis` and a basis family a plain tuple
+of them.  The three qubit bases are the eigenbases of sigma3, sigma1 and
+sigma2 with the conventional phases; tensoring each basis with itself
+yields three four-dimensional bases whose cross overlaps all have
+magnitude 1/2 = 1/sqrt(4), so one check certifies both families.  That
 tensor-squared family is what the coherence of two-qubit states is
 evaluated in throughout this package ("amub" in the code).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .states import DensityMatrix
 
-# Orthonormality / unbiasedness certification tolerance.
+# Orthonormality tolerance.
 BASIS_TOL = 1e-12
 
 AMUB_LABELS = ("a1", "a2", "a3")
@@ -44,47 +47,7 @@ class OrthonormalBasis:
         return self.vectors.shape[1]
 
 
-@dataclass(frozen=True)
-class MubSet:
-    """A family of equal-dimension bases meant to be mutually unbiased.
-
-    Construction only checks dimensions; unbiasedness is certified
-    separately by :func:`verify_mub`, which must also be able to report
-    failures for bases that are *not* unbiased.
-    """
-
-    bases: tuple[OrthonormalBasis, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", tuple(self.bases))
-        dims = {b.dim for b in self.bases}
-        if len(dims) > 1:
-            raise ValueError(f"bases have mixed dimensions {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.bases[0].dim
-
-
-@dataclass(frozen=True)
-class AmubSet:
-    """Tensor-squared basis family on the doubled system (dimension d^2)."""
-
-    bases: tuple[OrthonormalBasis, ...]
-    base_dim: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", tuple(self.bases))
-        for b in self.bases:
-            if b.dim != self.base_dim**2:
-                raise ValueError(f"expected dimension {self.base_dim ** 2}, got {b.dim}")
-
-
-def computational_basis(dim: int) -> OrthonormalBasis:
-    return OrthonormalBasis(np.eye(dim, dtype=complex))
-
-
-def qubit_mubs() -> MubSet:
+def qubit_mubs() -> tuple[OrthonormalBasis, ...]:
     """The three qubit mutually unbiased bases.
 
     e1 is computational, e2 the Hadamard pair (|0> +- |1>)/sqrt(2), e3 the
@@ -95,28 +58,19 @@ def qubit_mubs() -> MubSet:
     e1 = np.array([[1, 0], [0, 1]], dtype=complex)
     e2 = inv * np.array([[1, 1], [1, -1]], dtype=complex)
     e3 = inv * np.array([[1, 1j], [1, -1j]], dtype=complex)
-    return MubSet(tuple(OrthonormalBasis(v) for v in (e1, e2, e3)))
+    return tuple(OrthonormalBasis(v) for v in (e1, e2, e3))
 
 
-def amub_from_mubs(mubs: MubSet) -> AmubSet:
-    """Tensor each basis with itself; vectors ordered row-major over (i, j)."""
-    out = []
-    for b in mubs.bases:
-        d = b.dim
-        vecs = np.array([np.kron(b.vectors[i], b.vectors[j]) for i in range(d) for j in range(d)])
-        out.append(OrthonormalBasis(vecs))
-    return AmubSet(tuple(out), base_dim=mubs.dim)
+def amub_from_mubs(mubs: tuple[OrthonormalBasis, ...]) -> tuple[OrthonormalBasis, ...]:
+    """Tensor each basis with itself: row i*d + j of ``kron(V, V)`` is the
+    ket kron(V[i], V[j]), so vectors are ordered row-major over (i, j)."""
+    return tuple(OrthonormalBasis(np.kron(b.vectors, b.vectors)) for b in mubs)
 
 
-_QUBIT_AMUBS: AmubSet | None = None
-
-
-def qubit_amubs() -> AmubSet:
-    """The cached two-qubit tensor-squared family {a1, a2, a3}."""
-    global _QUBIT_AMUBS
-    if _QUBIT_AMUBS is None:
-        _QUBIT_AMUBS = amub_from_mubs(qubit_mubs())
-    return _QUBIT_AMUBS
+@functools.cache
+def qubit_amubs() -> tuple[OrthonormalBasis, ...]:
+    """The cached two-qubit tensor-squared family (a1, a2, a3)."""
+    return amub_from_mubs(qubit_mubs())
 
 
 def amub_basis(label: str) -> OrthonormalBasis:
@@ -125,7 +79,7 @@ def amub_basis(label: str) -> OrthonormalBasis:
         k = AMUB_LABELS.index(label)
     except ValueError:
         raise ValueError(f"unknown basis label {label!r}; expected one of {AMUB_LABELS}") from None
-    return qubit_amubs().bases[k]
+    return qubit_amubs()[k]
 
 
 def represent_in_basis(rho: DensityMatrix | np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
@@ -142,38 +96,17 @@ def represent_in_basis(rho: DensityMatrix | np.ndarray, basis: OrthonormalBasis)
     return v.conj() @ m @ v.T
 
 
-@dataclass(frozen=True)
-class UnbiasednessReport:
-    """Outcome of certifying a basis family against a target overlap."""
-
-    target: float
-    max_deviation: float
-    pair_deviations: dict[tuple[int, int], float] = field(default_factory=dict)
-    tolerance: float = BASIS_TOL
-
-    @property
-    def ok(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
-
-def _overlap_report(bases: tuple[OrthonormalBasis, ...], target: float, tol: float) -> UnbiasednessReport:
-    pair_devs: dict[tuple[int, int], float] = {}
+def verify_mub(bases: tuple[OrthonormalBasis, ...]) -> float:
+    """The largest deviation of a cross-basis overlap magnitude |<a_i|b_j>|
+    from 1/sqrt(d), over every pair of the family; 0 certifies it mutually
+    unbiased.  A tensor-squared family in dimension d^2 is held to
+    1/sqrt(d^2) = 1/d by the same rule."""
+    dims = {b.dim for b in bases}
+    if len(dims) > 1:
+        raise ValueError(f"bases have mixed dimensions {sorted(dims)}")
     worst = 0.0
-    for k in range(len(bases)):
-        for l in range(k + 1, len(bases)):
-            overlaps = np.abs(bases[k].vectors.conj() @ bases[l].vectors.T)
-            dev = float(np.abs(overlaps - target).max())
-            pair_devs[(k, l)] = dev
-            worst = max(worst, dev)
-    return UnbiasednessReport(target=target, max_deviation=worst, pair_deviations=pair_devs, tolerance=tol)
-
-
-def verify_mub(mubs: MubSet, tol: float = BASIS_TOL) -> UnbiasednessReport:
-    """Check every cross-basis overlap magnitude against 1/sqrt(d)."""
-    return _overlap_report(mubs.bases, 1.0 / np.sqrt(mubs.dim), tol)
-
-
-def verify_amub(amubs: AmubSet, tol: float = BASIS_TOL) -> UnbiasednessReport:
-    """Check every cross-basis overlap magnitude against 1/d (d the base dimension)."""
-    return _overlap_report(amubs.bases, 1.0 / amubs.base_dim, tol)
-
+    for k, a in enumerate(bases):
+        for b in bases[k + 1 :]:
+            overlaps = np.abs(a.vectors.conj() @ b.vectors.T)
+            worst = max(worst, float(np.abs(overlaps - 1.0 / np.sqrt(a.dim)).max()))
+    return worst

@@ -162,10 +162,10 @@ def cmd_coherence(args: argparse.Namespace) -> int:
 
     header = [f"family={args.family}", f"basis={args.basis}"]
     if args.c is not None:
-        header.append(f"c=({args.c[0]:g},{args.c[1]:g},{args.c[2]:g})")
+        header.append(f"c=({','.join(map(sf._tag, args.c))})")
     for name, value in (("p", args.p), ("F", args.F), ("r", args.r), ("s", args.s)):
         if value is not None:
-            header.append(f"{name}={value:g}")
+            header.append(f"{name}={sf._tag(value)}")
     print(" ".join(header))
     for name, value in rows:
         print(f"{name:<18}{_fmt(value)}")
@@ -201,7 +201,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     if field.physical_fraction() == 0.0:
         _warn("the field has an empty physical region; the mesh is empty")
     elif mesh.is_empty:
-        _warn(f"level {args.level:g} exceeds the field maximum; the mesh is empty")
+        _warn(f"level {sf._tag(args.level)} exceeds the field maximum; the mesh is empty")
     out = _out_dir(args)
     writer = sf.write_obj if args.format == "obj" else sf.write_ply
     path = writer(mesh, out / f"surface_{field.name}_level{sf._tag(args.level)}.{args.format}")
@@ -298,10 +298,11 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
     file supplies.
 
     The file holds one ``key=value`` pair per line (# comments allowed);
-    pairs are inserted right after the subcommand, so explicit flags given
-    on the command line override them.  A switch (a ``store_true`` flag of
-    the subcommand) takes ``true``, which inserts the bare flag, or
-    ``false``, which inserts nothing.
+    each pair is inserted right after the subcommand as the one token
+    ``--key=value``, so a value such as ``-0.2,0.6,0.6`` is not read as a
+    flag, and explicit flags given on the command line override them.  A
+    switch (a ``store_true`` flag of the subcommand) takes ``true``, which
+    inserts the bare flag, or ``false``, which inserts nothing.
     """
     given = [j for j, token in enumerate(argv) if token == "--config" or token.startswith("--config=")]
     if not given:
@@ -331,7 +332,7 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
         if key == "config":
             raise ValueError(f"config line {line!r}: --config may be given only once")
         if f"--{key}" not in switches:
-            pairs += [f"--{key}", value]
+            pairs.append(f"--{key}={value}")
         elif value not in ("true", "false"):
             raise ValueError(f"config line {line!r}: --{key} takes true or false")
         elif value == "true":

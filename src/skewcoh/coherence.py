@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bases import AMUB_LABELS, OrthonormalBasis
+from .bases import AMUB_LABELS, OrthonormalBasis, represent_in_basis
 from .linalg import _noise_bound, require_hermitian
 from .states import (
     TETRA_TOL,
@@ -268,15 +268,10 @@ def xz_coherence_sum_candidate(r, s, c1, c2, c3):
 # -- comparison measures -------------------------------------------------------
 
 
-def _in_basis(rho: DensityMatrix, basis: OrthonormalBasis | None) -> np.ndarray:
-    vecs = _basis_or_computational(rho, basis)
-    return vecs.conj() @ rho.matrix @ vecs.T
-
-
 def l1_coherence(rho: DensityMatrix, basis: OrthonormalBasis | None = None):
     """Sum of off-diagonal magnitudes of rho in the given basis, one value
     per state of a stack (a float for one state)."""
-    m = np.abs(_in_basis(rho, basis))
+    m = np.abs(rho.matrix if basis is None else represent_in_basis(rho, basis))
     return (m.sum(axis=(-2, -1)) - np.diagonal(m, axis1=-2, axis2=-1).sum(axis=-1))[()]
 
 
@@ -289,5 +284,6 @@ def _entropy_bits(probabilities: np.ndarray) -> np.ndarray:
 def relative_entropy_coherence(rho: DensityMatrix, basis: OrthonormalBasis | None = None):
     """S(diag(rho)) - S(rho) in bits, with diag taken in the given basis, one
     value per state of a stack (a float for one state)."""
-    diag = np.diagonal(_in_basis(rho, basis), axis1=-2, axis2=-1).real
+    m = rho.matrix if basis is None else represent_in_basis(rho, basis)
+    diag = np.diagonal(m, axis1=-2, axis2=-1).real
     return np.maximum(_entropy_bits(diag) - _entropy_bits(np.linalg.eigvalsh(rho.matrix)), 0.0)[()]

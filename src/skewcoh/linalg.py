@@ -25,14 +25,6 @@ for _m in (SIGMA1, SIGMA2, SIGMA3, EYE2):
     _m.flags.writeable = False
 
 
-def as_square(a: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting any other shape."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def require_hermitian(a: np.ndarray) -> np.ndarray:
     """The square complex matrix ``a``, or stack of them (shape (..., d, d)),
     checked finite and Hermitian: no entry of a - a^dagger may exceed

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EYE2, SIGMA1, SIGMA2, SIGMA3, as_square, sqrt_psd
+from .linalg import EYE2, SIGMA1, SIGMA2, SIGMA3, sqrt_psd
 
 # Validation tolerances for density matrices (double precision, dims <= 4).
 STATE_TOL = 1e-10
@@ -212,7 +212,7 @@ def isotropic(fidelity: float) -> DensityMatrix:
 
 
 def _two_qubit(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    m = rho.matrix if isinstance(rho, DensityMatrix) else as_square(rho)
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
     return m

@@ -36,6 +36,12 @@ FIELD_CAP = 1.5 + 1e-9
 MAX_RESOLUTION = 301
 
 
+def _require_increasing(xs: np.ndarray, what: str) -> None:
+    """Reject a coordinate array that is not 1-d, finite and strictly increasing."""
+    if xs.ndim != 1 or not (np.isfinite(xs).all() and (np.diff(xs) > 0).all()):
+        raise ValueError(f"{what} must be finite and strictly increasing")
+
+
 @dataclass(frozen=True)
 class ScalarField3D:
     """Values sampled on a cubic grid; NaN marks non-physical points.
@@ -48,6 +54,7 @@ class ScalarField3D:
     def __post_init__(self) -> None:
         axis = np.asarray(self.axis, dtype=float)
         values = np.asarray(self.values, dtype=float)
+        _require_increasing(axis, "field axis")
         if values.shape != (axis.size,) * 3:
             raise ValueError(f"values shape {values.shape} does not match axis length {axis.size}")
         # NaN is the only non-physical marker; an infinity is out of range.
@@ -81,7 +88,10 @@ class IsoSurfaceMesh:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        t = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
+        t = np.asarray(self.triangles)
+        if not np.issubdtype(t.dtype, np.integer):
+            raise ValueError(f"triangle indices must be integers, got dtype {t.dtype}")
+        t = t.astype(int, copy=False).reshape(-1, 3)
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise ValueError("triangle indices out of range")
         v.flags.writeable = False
@@ -107,8 +117,7 @@ class Curve1D:
         values = np.asarray(self.values, dtype=float)
         if xs.ndim != 1 or xs.shape != values.shape:
             raise ValueError("xs and values must be matching 1-d arrays")
-        if xs.size > 1 and not np.all(np.diff(xs) > 0):
-            raise ValueError("curve parameter must be strictly increasing")
+        _require_increasing(xs, "curve parameter")
         xs.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "xs", xs)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import channels as ch
 from . import surfaces as sf
-from .bases import AMUB_LABELS, amub_basis, amub_from_mubs, qubit_mubs, represent_in_basis, verify_amub, verify_mub
+from .bases import AMUB_LABELS, amub_basis, amub_from_mubs, qubit_mubs, represent_in_basis, verify_mub
 from .coherence import (
     _xz_values,
     bd_coherence_values,
@@ -203,8 +203,8 @@ def _xz_pattern(r: float, s: float, c1: float, c2: float, c3: float, label: str)
 def suite_bases(rng: np.random.Generator, samples: int | None = None) -> SuiteResult:
     res = SuiteResult("bases")
     mubs = qubit_mubs()
-    res.dev("qubit MUB unbiasedness deviation", verify_mub(mubs).max_deviation, 1e-14)
-    res.dev("tensor-squared AMUB deviation", verify_amub(amub_from_mubs(mubs)).max_deviation, 1e-14)
+    res.dev("qubit MUB unbiasedness deviation", verify_mub(mubs), 1e-14)
+    res.dev("tensor-squared AMUB deviation", verify_mub(amub_from_mubs(mubs)), 1e-14)
 
     bd_spots = [(0.3, -0.2, 0.5), (-0.5, 0.25, 0.25), (0.0, 0.0, -1.0)]
     xz_spots = [(0.2, -0.1, 0.3, -0.2, 0.5), (0.1, 0.1, 0.2, 0.1, 0.3)]

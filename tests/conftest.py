@@ -21,4 +21,4 @@ def rng():
 def amubs():
     from skewcoh.bases import qubit_amubs
 
-    return qubit_amubs().bases
+    return qubit_amubs()

@@ -3,63 +3,74 @@ import pytest
 
 from skewcoh.bases import (
     AMUB_LABELS,
-    MubSet,
     OrthonormalBasis,
     amub_basis,
     amub_from_mubs,
-    computational_basis,
+    qubit_amubs,
     qubit_mubs,
     represent_in_basis,
-    verify_amub,
     verify_mub,
 )
 from skewcoh.states import BellDiagonalParams, XStateZParams, bell_diagonal, werner, x_state_z
 
 
 def test_qubit_mub_vectors():
-    mubs = qubit_mubs()
+    e1, e2, e3 = qubit_mubs()
     inv = 1 / np.sqrt(2)
-    assert np.array_equal(mubs.bases[0].vectors, np.eye(2))
-    assert np.allclose(mubs.bases[1].vectors[1], [inv, -inv])
-    assert np.allclose(mubs.bases[2].vectors, [[inv, 1j * inv], [inv, -1j * inv]])
+    assert np.array_equal(e1.vectors, np.eye(2))
+    assert np.allclose(e2.vectors[1], [inv, -inv])
+    assert np.allclose(e3.vectors, [[inv, 1j * inv], [inv, -1j * inv]])
 
 
 def test_pairwise_overlap_magnitudes():
     mubs = qubit_mubs()
     for k in range(3):
         for l in range(k + 1, 3):
-            overlaps = np.abs(mubs.bases[k].vectors.conj() @ mubs.bases[l].vectors.T)
+            overlaps = np.abs(mubs[k].vectors.conj() @ mubs[l].vectors.T)
             assert np.abs(overlaps - 1 / np.sqrt(2)).max() < 1e-15
 
 
 def test_verify_mub_passes():
-    report = verify_mub(qubit_mubs())
-    assert report.ok
-    assert report.max_deviation < 1e-15
+    assert verify_mub(qubit_mubs()) < 1e-15
 
 
 def test_verify_mub_detects_failure():
+    # a basis is not unbiased with itself: its zero overlaps miss 1/sqrt(2)
     e1 = OrthonormalBasis(np.eye(2, dtype=complex))
-    report = verify_mub(MubSet((e1, e1)))
-    assert not report.ok
-    assert report.max_deviation > 0.2
+    assert verify_mub((e1, e1)) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
 
 def test_amub_first_basis_is_computational():
     amubs = amub_from_mubs(qubit_mubs())
-    assert np.array_equal(amubs.bases[0].vectors, np.eye(4))
+    assert np.array_equal(amubs[0].vectors, np.eye(4))
 
 
 def test_amub_cross_overlap_is_half():
-    amubs = amub_from_mubs(qubit_mubs())
-    a1, a2 = amubs.bases[0].vectors, amubs.bases[1].vectors
-    assert np.abs(np.abs(a1.conj() @ a2.T) - 0.5).max() < 1e-15
+    a1, a2, _ = amub_from_mubs(qubit_mubs())
+    assert np.abs(np.abs(a1.vectors.conj() @ a2.vectors.T) - 0.5).max() < 1e-15
+
+
+def test_amub_vectors_are_row_major_tensor_products():
+    for b, a in zip(qubit_mubs(), qubit_amubs()):
+        kets = [np.kron(b.vectors[i], b.vectors[j]) for i in range(2) for j in range(2)]
+        assert np.array_equal(a.vectors, kets)
+
+
+def test_qubit_amubs_is_the_cached_labelled_family():
+    amubs = qubit_amubs()
+    assert isinstance(amubs, tuple) and qubit_amubs() is amubs
+    assert all(amub_basis(label) is a for label, a in zip(AMUB_LABELS, amubs))
 
 
 def test_verify_amub_exhaustive():
-    report = verify_amub(amub_from_mubs(qubit_mubs()))
-    assert report.ok
-    assert set(report.pair_deviations) == {(0, 1), (0, 2), (1, 2)}
+    # the tensor squares are held to 1/sqrt(4) = 1/2 by the same check,
+    # and a defect in any one pair is seen
+    amubs = qubit_amubs()
+    assert verify_mub(amubs) < 1e-15
+    for k in range(3):
+        for l in range(k + 1, 3):
+            assert verify_mub((amubs[k], amubs[l])) < 1e-15
+            assert verify_mub((amubs[k], amubs[l], amubs[l])) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_orthonormality_enforced():
@@ -69,13 +80,13 @@ def test_orthonormality_enforced():
 
 def test_mixed_dimensions_rejected():
     with pytest.raises(ValueError, match="mixed"):
-        MubSet((computational_basis(2), computational_basis(4)))
+        verify_mub((OrthonormalBasis(np.eye(2)), OrthonormalBasis(np.eye(4))))
 
 
 class TestRepresentInBasis:
     def test_computational_identity(self):
         rho = werner(0.4)
-        assert np.allclose(represent_in_basis(rho, computational_basis(4)), rho.matrix)
+        assert np.allclose(represent_in_basis(rho, OrthonormalBasis(np.eye(4))), rho.matrix)
 
     def test_bell_diagonal_in_a2(self):
         c1, c2, c3 = 0.3, -0.2, 0.5
@@ -114,9 +125,9 @@ class TestRepresentInBasis:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            represent_in_basis(werner(0.5), computational_basis(2))
+            represent_in_basis(werner(0.5), OrthonormalBasis(np.eye(2)))
         with pytest.raises(ValueError, match="mismatch"):
-            represent_in_basis(np.eye(4)[None, :3], computational_basis(4))
+            represent_in_basis(np.eye(4)[None, :3], OrthonormalBasis(np.eye(4)))
 
 
 def test_unknown_basis_label():
@@ -130,8 +141,8 @@ def test_user_supplied_qutrit_bases_verify():
     # tensor squares are unbiased with overlap 1/3 in dimension 9
     w = np.exp(2j * np.pi / 3)
     fourier = np.array([[1, 1, 1], [1, w, w * w], [1, w * w, w]]) / np.sqrt(3)
-    mubs = MubSet((OrthonormalBasis(np.eye(3, dtype=complex)), OrthonormalBasis(fourier)))
-    assert verify_mub(mubs).max_deviation < 1e-14
+    mubs = (OrthonormalBasis(np.eye(3, dtype=complex)), OrthonormalBasis(fourier))
+    assert verify_mub(mubs) < 1e-14
     amubs = amub_from_mubs(mubs)
-    assert amubs.bases[0].dim == 9
-    assert verify_amub(amubs).max_deviation < 1e-14
+    assert amubs[0].dim == 9
+    assert verify_mub(amubs) < 1e-14

@@ -32,6 +32,15 @@ class TestCoherenceCommand:
             assert code == 0
             assert "c=(0,0,0)" in out.splitlines()[0]
 
+    def test_header_prints_the_values_as_given(self, capsys):
+        # p = 0.1000001 is not p = 0.1, so the header must not round it to %g
+        code, out, _ = run(capsys, "coherence", "--family", "werner", "--p", "0.1000001")
+        assert code == 0
+        assert out.splitlines()[0] == "family=werner basis=a1 p=0.1000001"
+        code, out, _ = run(capsys, "coherence", "--family", "bell", "--c=-0.2,0.6,0.123456789")
+        assert code == 0
+        assert out.splitlines()[0] == "family=bell basis=a1 c=(-0.2,0.6,0.123456789)"
+
     def test_bell_in_a2_incoherent(self, capsys):
         code, out, _ = run(capsys, "coherence", "--family", "bell", "--c", "0,0,0", "--basis", "a2")
         assert code == 0
@@ -159,6 +168,15 @@ class TestSurfaceCommand:
         )
         assert code == 0
         assert "empty" in err
+
+    def test_empty_mesh_warning_prints_the_level_as_given(self, capsys, tmp_path):
+        # the a1 field peaks at 0.5; %g would print this level as 0.5
+        code, _, err = run(
+            capsys, "surface", "--field", "bd-a1", "--level", "0.5000001",
+            "--resolution", "21", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert "level 0.5000001 exceeds the field maximum" in err
 
     def test_empty_physical_region_warns(self, capsys, tmp_path):
         code, out, err = run(
@@ -456,6 +474,19 @@ class TestConfigFile:
         code, out, _ = run(capsys, "verify", "--suite", "closed-forms", f"--config={cfg}")
         assert code == 0
         assert "over 2 states" in out
+
+    def test_config_gives_a_negative_first_coefficient(self, capsys, tmp_path):
+        # the figure's study point: inserted as --c -0.2,0.6,0.6, argparse
+        # would read the value as a flag
+        cfg = tmp_path / "dynamics.cfg"
+        cfg.write_text("c=-0.2,0.6,0.6\npoints=11\n")
+        code, out, err = run(capsys, "dynamics", "--config", str(cfg), "--out", str(tmp_path / "cfg"))
+        assert code == 0, err
+        code, _, _ = run(capsys, "dynamics", "--c=-0.2,0.6,0.6", "--points", "11", "--out", str(tmp_path / "flag"))
+        assert code == 0
+        for kind in ("BF", "PF", "BPF", "GAD"):
+            name = f"dynamics_{kind}.csv"
+            assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
 
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

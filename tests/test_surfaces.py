@@ -309,6 +309,21 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="out of range"):
             IsoSurfaceMesh(vertices=np.zeros((2, 3)), triangles=np.array([[0, 1, 5]]), level=0.1)
 
+    @pytest.mark.parametrize("triangles", [[[0, 1, 2.7]], np.array([[0.0, 1.0, 2.0]]), []])
+    def test_float_triangle_indices_rejected(self, triangles):
+        # a float index would be truncated, 2.7 to 2, without a word
+        with pytest.raises(ValueError, match="must be integers"):
+            IsoSurfaceMesh(vertices=np.zeros((3, 3)), triangles=triangles, level=0.1)
+
+    @pytest.mark.parametrize("axis", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    def test_axis_must_be_finite_and_increasing(self, axis):
+        # write_field_csv would write nan and inf rows, and extraction
+        # assumes an increasing axis
+        with pytest.raises(ValueError, match="field axis must be finite and strictly increasing"):
+            ScalarField3D(axis=axis, values=np.full((2, 2, 2), 0.25), name="bad")
+        with pytest.raises(ValueError, match="curve parameter must be finite and strictly increasing"):
+            Curve1D(parameter="p", xs=axis, values=[0.0, 0.0])
+
     def test_field_cap_enforced(self):
         axis = np.linspace(-1, 1, 3)
         with pytest.raises(ValueError, match=r"outside \[0, 1.500000001\]: \[2.0, 2.0\]"):

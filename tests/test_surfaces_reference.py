@@ -436,7 +436,9 @@ def test_field_csv_matches_per_row_formatting(tmp_path, seed):
     values = np.where(np.isnan(field.values), np.nan, rng.random(field.values.shape) * 1.5)
     values[rng.random(values.shape) < 0.1] = 0.0
     values[rng.random(values.shape) < 0.1] = 1e-7
-    axis = np.sort(np.concatenate(([-0.0, 1e-5, 2.2e-16], random_floats(rng, field.resolution - 3))))
+    # An axis is strictly increasing: distinct draws besides the special values.
+    others = np.setdiff1d(random_floats(rng, 2 * field.resolution), [1e-5, 2.2e-16])
+    axis = np.sort(np.concatenate(([-0.0, 1e-5, 2.2e-16], rng.choice(others, field.resolution - 3, replace=False))))
     field = ScalarField3D(axis=axis, values=values, name="random")
     assert_same_bytes(tmp_path, write_field_csv, reference_write_field_csv, field)
 
