@@ -3,8 +3,12 @@
 
     python3 scripts/bench.py --parent REV --out BENCH_N.json
 
-The parent revision is exported with ``git archive`` into a temporary
-directory; the change is this checkout's working tree.  For every
+Both sides run from sibling directories of one temporary root whose names
+have the same length, ``parent/`` and ``change/``: a worker's heap, and so
+its peak memory and speed, depends on the length of its checkout's path.
+The parent revision is exported there with ``git archive``; the change is
+a copy of this checkout's working tree (its tracked files and its
+untracked, non-ignored ones).  For every
 workload of ``BENCHMARK.json``, each of ten pairs runs
 ``benchmark/run.py --workload W --seed 1234 --seconds T``, with ``T`` the
 declared ``run_seconds``, once on each side, in each side's own checkout;
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,7 +54,7 @@ def _git(*args: str) -> str:
 
 
 def export(rev: str, into: Path) -> Path:
-    """The committed files of ``rev`` under ``into``."""
+    """The committed files of ``rev`` in ``into/parent``."""
     archive = into / "parent.tar"
     with archive.open("wb") as out:
         subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True, stdout=out)
@@ -57,6 +62,19 @@ def export(rev: str, into: Path) -> Path:
         tar.extractall(into / "parent", filter="data")
     archive.unlink()
     return into / "parent"
+
+
+def copy_tree(into: Path) -> Path:
+    """The working tree's tracked and untracked, non-ignored files in
+    ``into/change``; a tracked file deleted from the tree is left out."""
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    for name in filter(None, names):
+        source = ROOT / name
+        if source.is_file():
+            target = into / "change" / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+    return into / "change"
 
 
 def run_once(checkout: Path, workload: str, seconds: float) -> dict:
@@ -117,7 +135,7 @@ def main() -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
-        sides = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
+        sides = {"parent": export(args.parent, Path(tmp)), "change": copy_tree(Path(tmp))}
         for workload in (w["name"] for w in declared["workloads"]):
             runs = {side: [] for side in sides}
             for pair in range(PAIRS):

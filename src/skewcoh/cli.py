@@ -5,9 +5,10 @@ Subcommands: ``coherence`` (evaluate one state, numeric vs closed form),
 (coherence decay curves under the four channels) and ``verify`` (run the
 certification suites).
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 internal numeric error.  Data goes to stdout and files; warnings go to
-stderr.  Identical arguments and seed always produce byte-identical output.
+Exit codes: 0 success, 1 verification failure or a closed stdout pipe
+(without a message), 2 invalid arguments, 3 internal numeric error.  Data
+goes to stdout and files; warnings go to stderr.  Identical arguments and
+seed always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -198,10 +199,12 @@ def cmd_surface(args: argparse.Namespace) -> int:
         _last_field[key] = field
 
     mesh = sf.extract_isosurface(field, args.level)
-    if field.physical_fraction() == 0.0:
-        _warn("the field has an empty physical region; the mesh is empty")
-    elif mesh.is_empty:
-        _warn(f"level {sf._tag(args.level)} exceeds the field maximum; the mesh is empty")
+    # An empty physical region always gives an empty mesh: scan it only then.
+    if mesh.is_empty:
+        if field.physical_fraction() == 0.0:
+            _warn("the field has an empty physical region; the mesh is empty")
+        else:
+            _warn(f"level {sf._tag(args.level)} exceeds the field maximum; the mesh is empty")
     out = _out_dir(args)
     writer = sf.write_obj if args.format == "obj" else sf.write_ply
     path = writer(mesh, out / f"surface_{field.name}_level{sf._tag(args.level)}.{args.format}")
@@ -345,9 +348,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(argv, parser))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except SystemExit as exc:  # argparse reports usage errors via sys.exit
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # exit does not raise again, and exit 1 without a message, Python's
+        # convention for EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS

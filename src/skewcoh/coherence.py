@@ -16,11 +16,16 @@ isotropic slices, and the z-polarized X states.  Both families share one
 array core that roots their four margins under ``sqrt_psd``'s noise rule
 and marks points outside the physical region as NaN; the grid entry
 points call it on arrays, and the scalar entry points make a 0-d call of
-it on validated parameters.  The closed forms are certified against the
+it on validated parameters.  A term that splits over the two margin
+pairs also gives the field samplers its parts once per distinct pair
+value, with the core's bits.  The closed forms are certified against the
 numeric definition at every point of whole grids, not trusted.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,35 +110,130 @@ def coherence_bound(dim: int) -> float:
 # bases only that trace survives: C_sum = 2 - (sum_i sqrt(m_i))^2 / 8.  In
 # one basis a_k, a Bell-diagonal state has C = (2 - sqrt of one margin pair
 # - sqrt of the complementary pair) / 4.
+#
+# The margins come in two pairs: pair A, (1 - c3) -+ f(c1 + c2), and pair
+# B, (1 + c3) +- g(c1 - c2).  Where a term takes one pair's roots apart
+# from the other's it is a _SplitTerm, and a field over a grid whose c1 and
+# c2 axes are the same evaluates each pair once per distinct (c1 +- c2, c3)
+# (:func:`_pair_tables`).
+
+
+class _SplitTerm(NamedTuple):
+    """A closed form over the four roots that splits over the margin pairs:
+    ``pair_a(q0, q1)`` of pair A, the tuple ``pair_b(q2, q3)`` of pair B, and
+    ``combine(a, *b)``, which updates ``a`` in place where it is an array (a
+    0-d call passes scalars).  The parts and the combine keep the unsplit
+    formula's operation order, so both routes give its bits."""
+
+    pair_a: Callable
+    pair_b: Callable
+    combine: Callable
+
+    def __call__(self, q):
+        return self.combine(self.pair_a(q[0], q[1]), *self.pair_b(q[2], q[3]))
+
+
+def _a1_combine(a, b):
+    """0.25 * ((2 - q0 q1) - q2 q3) from a = 2 - q0 q1 and b = q2 q3."""
+    a -= b
+    a *= 0.25
+    return a
+
+
+def _sum_combine(a, q2, q3):
+    """2 - (((q0 + q1) + q2) + q3)^2 / 8 from a = q0 + q1; t^2 / -8 + 2 is
+    2 - t^2 / 8 bit for bit, and needs no second array."""
+    a += q2
+    a += q3
+    a *= a
+    a /= -8.0
+    a += 2.0
+    return a
+
+
+_SUM = _SplitTerm(lambda q0, q1: q0 + q1, lambda q2, q3: (q2, q3), _sum_combine)
 
 _BD_TERMS = {
-    "a1": lambda q: 0.25 * (2.0 - q[0] * q[1] - q[2] * q[3]),
+    "a1": _SplitTerm(lambda q0, q1: 2.0 - q0 * q1, lambda q2, q3: (q2 * q3,), _a1_combine),
+    # a2 and a3 take one root of each pair in each product: they do not split.
     "a2": lambda q: 0.25 * (2.0 - q[1] * q[2] - q[0] * q[3]),
     "a3": lambda q: 0.25 * (2.0 - q[0] * q[2] - q[1] * q[3]),
-    "sum": None,
+    "sum": _SUM,
 }
 
 
-def _closed_values(m, basis_term=None):
-    """The closed-form core over the four margins ``m``, elementwise: the
-    three-basis sum, or ``basis_term(roots)``, clamped at 0; NaN where a
-    margin is below -TETRA_TOL.  A margin at or below ``sqrt_psd``'s noise
-    bound counts as 0, as its eigenvalue does on the numeric route: on a
-    face, sqrt would turn a 2e-16 margin into a 1.5e-8 root."""
+def _closed_values(m, term):
+    """The closed-form core over the four margins ``m``, elementwise:
+    ``term(roots)``, clamped at 0; NaN where a margin is below -TETRA_TOL.
+    A margin at or below ``sqrt_psd``'s noise bound counts as 0, as its
+    eigenvalue does on the numeric route: on a face, sqrt would turn a
+    2e-16 margin into a 1.5e-8 root."""
     physical = (m[0] >= -TETRA_TOL) & (m[1] >= -TETRA_TOL) & (m[2] >= -TETRA_TOL) & (m[3] >= -TETRA_TOL)
     m = np.array(m)  # one (4, ...) stack, rooted in place
     np.copyto(m, 0.0, where=m <= _noise_bound(m.max(axis=0), 4))
-    roots = np.sqrt(m, out=m)
-    values = 2.0 - roots.sum(axis=0) ** 2 / 8.0 if basis_term is None else basis_term(roots)
+    values = term(np.sqrt(m, out=m))
     return np.where(physical, np.maximum(values, 0.0), np.nan)
+
+
+def _pair_tables(margins, term: _SplitTerm, x, y, z):
+    """``term``'s parts over the grid x (c1) by y (c2) by z (c3), once per
+    distinct (c1 + c2, c3) for pair A and per distinct (c1 - c2, c3) for
+    pair B.  Returns, for A and then B, the part (a tuple of them for B),
+    as tables of distinct value by c3 with NaN where the pair is
+    unphysical; the (c1, c2) -> row map; and the mask of the entries that
+    the noise rule leaves ambiguous.
+
+    Each distinct value is keyed by its bits and evaluated at its first
+    (c1, c2), so ``margins`` gives each table entry the bits it gives the
+    grid points that use it.  Grid points that use an ambiguous entry need
+    the per-point kernel."""
+    pairs = []
+    for outer, pair in ((np.add.outer, slice(0, 2)), (np.subtract.outer, slice(2, 4))):
+        _, first, inverse = np.unique(outer(x, y).view(np.int64), return_index=True, return_inverse=True)
+        i, j = np.divmod(first, len(y))
+        m = np.array(margins(x[i, None], y[j, None], z)[pair])
+        pairs.append((m, m.max(axis=0), inverse.reshape(len(x), len(y))))
+    (m_a, top_a, index_a), (m_b, top_b, index_b) = pairs
+    part_a, ambiguous_a = _pair_part(m_a, top_a, top_b, term.pair_a)
+    parts_b, ambiguous_b = _pair_part(m_b, top_b, top_a, term.pair_b)
+    return (part_a, index_a, ambiguous_a), (parts_b, index_b, ambiguous_b)
+
+
+def _pair_part(m, top, other, part):
+    """``part`` of one pair's roots over a table of its margins ``m`` (2,
+    rows, c3) with row maxima ``top``, NaN where the pair is unphysical,
+    and the mask of its ambiguous entries, given the other pair's maxima
+    ``other`` at the same c3.
+
+    The noise rule zeroes a margin at or below the bound of the largest of
+    a point's four margins.  An entry at or below the bound of its own
+    pair's largest margin is zeroed wherever it is used; one above the bound
+    of the larger of that and the other pair's largest margin at its c3 is
+    kept wherever it is used; one between is ambiguous."""
+    physical = (m[0] >= -TETRA_TOL) & (m[1] >= -TETRA_TOL)
+    own = _noise_bound(top, 4)
+    ambiguous = ((m > own) & (m <= _noise_bound(np.maximum(top, other.max(axis=0)), 4))).any(axis=0)
+    np.copyto(m, 0.0, where=m <= own)
+    q = np.sqrt(m, out=m)
+    values = part(q[0], q[1])
+    for v in values if isinstance(values, tuple) else (values,):
+        np.copyto(v, np.nan, where=~physical)
+    return values, ambiguous
+
+
+def _bd_field(label: str):
+    """The margins function and term of the Bell-diagonal closed form in
+    basis ``label``, or summed over the three bases ('sum')."""
+    if label not in _BD_TERMS:
+        raise ValueError(f"unknown basis label {label!r}; expected one of {tuple(_BD_TERMS)}")
+    return tetrahedron_margins, _BD_TERMS[label]
 
 
 def _bd_values(c1, c2, c3, label: str):
     """The Bell-diagonal kernel: coherence in basis ``label``, or summed over
     the three bases ('sum'), elementwise; NaN outside the tetrahedron."""
-    if label not in _BD_TERMS:
-        raise ValueError(f"unknown basis label {label!r}; expected one of {tuple(_BD_TERMS)}")
-    return _closed_values(tetrahedron_margins(c1, c2, c3), _BD_TERMS[label])
+    margins, term = _bd_field(label)
+    return _closed_values(margins(c1, c2, c3), term)
 
 
 def bd_coherence_values(c1, c2, c3, label: str):
@@ -189,14 +289,35 @@ def isotropic_coherence(fidelity):
 def _xz_values(r, s, c1, c2, c3, measure: str):
     """The X-state kernel: coherence in a1 or summed ('sum'), elementwise;
     NaN where a block margin is below -TETRA_TOL."""
+    return _closed_values(_xz_margins(r, s, c1, c2, c3), _xz_term(r, s, measure))
 
-    def a1(q):
-        si, so = (q[0] + q[1]) / 2.0, (q[2] + q[3]) / 2.0
-        wi = np.where(si > 0.0, (r - s) / np.where(si > 0.0, 4.0 * si, 1.0), 0.0)
-        wo = np.where(so > 0.0, (r + s) / np.where(so > 0.0, 4.0 * so, 1.0), 0.0)
-        return 1.0 - (si / 2.0 + wi) ** 2 - (si / 2.0 - wi) ** 2 - (so / 2.0 + wo) ** 2 - (so / 2.0 - wo) ** 2
 
-    return _closed_values(_xz_margins(r, s, c1, c2, c3), None if measure == "sum" else a1)
+def _block_diagonal(qa, qb, gap):
+    """The squared diagonal entries (u + w)^2 and (u - w)^2 of the root of
+    one block, from its two roots and its off-diagonal ``gap``."""
+    u = (qa + qb) / 2.0
+    w = np.where(u > 0.0, gap / np.where(u > 0.0, 4.0 * u, 1.0), 0.0)
+    return (u / 2.0 + w) ** 2, (u / 2.0 - w) ** 2
+
+
+def _xz_a1_combine(a, y1, y2):
+    """(((1 - x1) - x2) - y1) - y2 from a = (1 - x1) - x2."""
+    a -= y1
+    a -= y2
+    return a
+
+
+def _xz_term(r, s, measure: str):
+    """The X-state term: the sum, or a1 as 1 minus the four squared diagonal
+    entries of sqrt(rho), block {|01>, |10>} (pair A) first."""
+    if measure == "sum":
+        return _SUM
+
+    def pair_a(q0, q1):
+        x1, x2 = _block_diagonal(q0, q1, r - s)
+        return (1.0 - x1) - x2
+
+    return _SplitTerm(pair_a, lambda q2, q3: _block_diagonal(q2, q3, r + s), _xz_a1_combine)
 
 
 def xz_coherence_a1(params: XStateZParams) -> float:
@@ -211,6 +332,16 @@ def xz_coherence_sum(params: XStateZParams) -> float:
     return float(_xz_values(params.r, params.s, params.c1, params.c2, params.c3, "sum"))
 
 
+def _xz_field(r: float, s: float, measure: str):
+    """The margins function over (c1, c2, c3) and the term of the X-state
+    closed form at fixed (r, s), in a1 or summed ('sum'); both checked."""
+    if measure not in ("a1", "sum"):
+        raise ValueError(f"unknown measure {measure!r}; expected 'a1' or 'sum'")
+    if not (np.isfinite(r) and np.isfinite(s)):
+        raise ValueError(f"r and s must be finite, got r={r} s={s}")
+    return functools.partial(_xz_margins, r, s), _xz_term(r, s, measure)
+
+
 def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
     """Vectorized coherence of z-polarized X states over coefficient grids.
 
@@ -218,11 +349,8 @@ def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
     fixed finite scalars; c1, c2, c3 broadcast.  Unphysical points (block
     margins below -1e-12) evaluate to NaN.
     """
-    if measure not in ("a1", "sum"):
-        raise ValueError(f"unknown measure {measure!r}; expected 'a1' or 'sum'")
-    if not (np.isfinite(r) and np.isfinite(s)):
-        raise ValueError(f"r and s must be finite, got r={r} s={s}")
-    return _xz_values(r, s, np.asarray(c1, dtype=float), np.asarray(c2, dtype=float), np.asarray(c3, dtype=float), measure)
+    margins, term = _xz_field(r, s, measure)
+    return _closed_values(margins(*(np.asarray(c, dtype=float) for c in (c1, c2, c3))), term)
 
 
 # -- closed-form candidates kept for auditing ----------------------------------

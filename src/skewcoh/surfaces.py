@@ -20,6 +20,10 @@ import numpy as np
 from ._mc_tables import EDGE_AXIS, EDGE_OFFSET, TRI_COUNT, TRI_TABLE
 from .channels import predicted_coefficient_grid
 from .coherence import (
+    _bd_field,
+    _pair_tables,
+    _SplitTerm,
+    _xz_field,
     bd_coherence_values,
     isotropic_coherence,
     werner_coherence,
@@ -131,21 +135,50 @@ def _tag(x: float) -> str:
     return repr(float(x)).removesuffix(".0")
 
 
-_SLAB_ROWS = 8  # c1 rows per kernel call in _sample
+_SLAB_ROWS = 8  # c1 rows per kernel call or table gather in _sample
 
 
-def _sample(kernel, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid axis and ``kernel(c1, c2, c3)`` on it, a slab of c1 rows at a
-    time: the elementwise kernels' values bit for bit, but no 8 MB temporaries
-    at 101^3 whose placement by the allocator would decide the peak memory."""
+def _sample(kernel, resolution: int, split, coefficient_map=None) -> tuple[np.ndarray, np.ndarray]:
+    """The grid axis and ``kernel(c1, c2, c3)`` on it, where (c1, c2, c3)
+    are the grid coordinates after ``coefficient_map`` (of the 1-d axis;
+    default the identity), filled a slab of c1 rows at a time: no 8 MB
+    temporaries at 101^3 whose placement by the allocator would decide the
+    peak memory.
+
+    ``split`` is the kernel's ``(margins, term)``.  Where the term is a
+    split term and the mapped c1 and c2 axes are the same, the kernel is
+    evaluated through :func:`coherence._pair_tables` instead: each slab
+    gathers the parts and combines them in place, and the points that use
+    an entry the noise rule leaves ambiguous go through ``kernel``.
+    Either route gives the kernel's values bit for bit."""
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
-    # Sparse (n,1,1), (1,n,1), (1,1,n) coordinates: no full coordinate grid.
-    c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+    x, y, z = (axis,) * 3 if coefficient_map is None else coefficient_map(axis)
     values = np.empty((resolution,) * 3)
+    margins, term = split
+    if not (isinstance(term, _SplitTerm) and np.array_equal(x.view(np.int64), y.view(np.int64))):
+        # Sparse (rows,1,1), (n,1), (n,) coordinates: no full coordinate grid.
+        for i in range(0, resolution, _SLAB_ROWS):
+            values[i : i + _SLAB_ROWS] = kernel(x[i : i + _SLAB_ROWS, None, None], y[:, None], z)
+        return axis, values
+    (part_a, index_a, ambiguous_a), (parts_b, index_b, ambiguous_b) = _pair_tables(margins, term, x, y, z)
+    gathered = [np.empty((_SLAB_ROWS, resolution, resolution)) for _ in parts_b]
     for i in range(0, resolution, _SLAB_ROWS):
-        values[i : i + _SLAB_ROWS] = kernel(c1[i : i + _SLAB_ROWS], c2, c3)
+        slab = values[i : i + _SLAB_ROWS]
+        rows = slice(i, i + len(slab))
+        # mode="clip" lets take write straight into ``out``, unbuffered.
+        np.take(part_a, index_a[rows], axis=0, out=slab, mode="clip")
+        b = [np.take(t, index_b[rows], axis=0, out=g[: len(slab)], mode="clip") for t, g in zip(parts_b, gathered)]
+        term.combine(slab, *b)
+        np.maximum(slab, 0.0, out=slab)
+    del gathered
+    # The (c1, c2) that use an ambiguous entry at some c3, then those c3.
+    i, j = np.nonzero(ambiguous_a.any(axis=1)[index_a] | ambiguous_b.any(axis=1)[index_b])
+    point, k = np.nonzero(ambiguous_a[index_a[i, j]] | ambiguous_b[index_b[i, j]])
+    if len(point):
+        i, j = i[point], j[point]
+        values[i, j, k] = kernel(x[i], y[j], z[k])
     return axis, values
 
 
@@ -157,7 +190,7 @@ def sample_bd_field(measure: str = "a1", resolution: int = 101) -> ScalarField3D
     """
     if measure not in BD_MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {BD_MEASURES}")
-    axis, values = _sample(lambda *c: bd_coherence_values(*c, measure), resolution)
+    axis, values = _sample(lambda *c: bd_coherence_values(*c, measure), resolution, _bd_field(measure))
     return ScalarField3D(axis=axis, values=values, name=f"bd-{measure}")
 
 
@@ -167,7 +200,8 @@ def sample_xz_field(r: float, s: float, measure: str = "a1", resolution: int = 1
     ``measure`` is 'a1' or 'sum'.  The physical region shrinks as |r|, |s|
     grow; non-physical points carry NaN.
     """
-    axis, values = _sample(lambda *c: xz_coherence_values(r, s, *c, measure), resolution)
+    split = _xz_field(r, s, measure)
+    axis, values = _sample(lambda *c: xz_coherence_values(r, s, *c, measure), resolution, split)
     return ScalarField3D(axis=axis, values=values, name=f"xz-{measure}_r{_tag(r)}_s{_tag(s)}")
 
 
@@ -181,7 +215,12 @@ def sample_channel_field(kind: str, p: float, resolution: int = 101) -> ScalarFi
     of the map into the closed form), and reduces to the plain field at
     p = 0.
     """
-    axis, values = _sample(lambda *c: bd_coherence_values(*predicted_coefficient_grid(kind, *c, p), "a1"), resolution)
+    axis, values = _sample(
+        lambda *c: bd_coherence_values(*c, "a1"),
+        resolution,
+        _bd_field("a1"),
+        lambda axis: predicted_coefficient_grid(kind, axis, axis, axis, p),
+    )
     return ScalarField3D(axis=axis, values=values, name=f"channel-{kind}_p{_tag(p)}")
 
 

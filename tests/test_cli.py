@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,20 @@ class TestSurfaceCommand:
         assert code == 0
         assert "empty physical region" in err
         assert "exceeds" not in err
+
+    def test_nonempty_mesh_skips_the_physical_scan(self, capsys, tmp_path, monkeypatch):
+        # an empty physical region always gives an empty mesh, so a nonempty
+        # mesh needs no scan of the field
+        def scan(field):
+            raise AssertionError("physical_fraction called for a nonempty mesh")
+
+        monkeypatch.setattr(cli.sf.ScalarField3D, "physical_fraction", scan)
+        code, _, err = run(
+            capsys, "surface", "--field", "bd-a1", "--level", "0.1",
+            "--resolution", "11", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert err == ""
 
     def test_resolution_above_cap_exits_2(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -547,3 +565,23 @@ class TestConfigFile:
         assert code == cli.EXIT_BAD_ARGS
         assert "--config may be given only once" in err
         assert not list(tmp_path.glob("*.obj"))
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_1_without_a_message(unbuffered):
+    # stdout is a pipe whose reader has already closed it; buffered or not,
+    # the write fails inside main, which exits 1 and says nothing, as
+    # Python does for EPIPE
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": src}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewcoh", "coherence", "--family", "isotropic", "--F", "0.123456789"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

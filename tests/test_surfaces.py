@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from skewcoh import surfaces
 from skewcoh.channels import predicted_coefficient_grid
 from skewcoh.coherence import bd_coherence_values, xz_coherence_values
 from skewcoh.surfaces import (
@@ -114,6 +115,100 @@ class TestFieldSampling:
             finally:
                 tracemalloc.stop()
             assert peak < 2.5 * 8 * 101**3
+
+def per_point(kernel, resolution):
+    """``kernel`` over the whole grid, a few c1 rows per call: the per-point
+    kernel's values without its whole-grid temporaries."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+    return np.concatenate([kernel(c1[i : i + 16], c2, c3) for i in range(0, resolution, 16)])
+
+
+@pytest.fixture
+def kernel_points(monkeypatch):
+    """Counts the grid points the samplers pass to the per-point kernels."""
+    seen = {"points": 0}
+
+    def counted(kernel):
+        def wrapper(*args):
+            values = kernel(*args)
+            seen["points"] += values.size
+            return values
+
+        return wrapper
+
+    monkeypatch.setattr(surfaces, "bd_coherence_values", counted(bd_coherence_values))
+    monkeypatch.setattr(surfaces, "xz_coherence_values", counted(xz_coherence_values))
+    return seen
+
+
+# (name, sampler, per-point kernel, whether it splits over the margin pairs)
+SPLIT_CASES = (
+    [(f"bd-{m}", lambda n, m=m: sample_bd_field(m, n), lambda *c, m=m: bd_coherence_values(*c, m)) for m in ("a1", "sum")]
+    + [
+        (
+            f"xz-{m} r={r} s={s}",
+            lambda n, r=r, s=s, m=m: sample_xz_field(r, s, m, n),
+            lambda *c, r=r, s=s, m=m: xz_coherence_values(r, s, *c, m),
+        )
+        for r, s in ((0.0, 0.0), (0.1, 0.1), (0.3, -0.2), (2.0, 2.0))
+        for m in ("a1", "sum")
+    ]
+    + [
+        (
+            f"{kind} p={p}",
+            lambda n, kind=kind, p=p: sample_channel_field(kind, p, n),
+            lambda *c, kind=kind, p=p: bd_coherence_values(*predicted_coefficient_grid(kind, *c, p), "a1"),
+        )
+        for kind in ("PF", "GAD")
+        for p in (0.0, 0.05, 0.6, 1.0)
+    ]
+)
+
+
+class TestPairTables:
+    """Fields whose term splits over the two margin pairs, on grids whose
+    mapped c1 and c2 axes are the same, are sampled from per-pair tables;
+    the others keep the per-point kernel.  Both give its bits, NaNs too."""
+
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 41, 101])
+    def test_tables_equal_the_per_point_kernel(self, resolution, kernel_points):
+        for name, sample, kernel in SPLIT_CASES:
+            kernel_points["points"] = 0
+            values = sample(resolution).values
+            assert kernel_points["points"] < resolution**3, f"{name} did not take the table route"
+            expected = per_point(kernel, resolution)
+            assert np.array_equal(values.view(np.int64), expected.view(np.int64)), name
+
+    @pytest.mark.parametrize("resolution", [2, 41])
+    @pytest.mark.parametrize("measure", ["a2", "a3"])
+    def test_unsplit_bases_equal_the_per_point_kernel(self, measure, resolution):
+        values = sample_bd_field(measure, resolution).values
+        expected = per_point(lambda *c: bd_coherence_values(*c, measure), resolution)
+        assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+
+    def test_ambiguous_entries_fall_back_to_the_kernel(self, kernel_points):
+        # at 101^3 some margins lie between the bound of their own pair's
+        # largest margin and that of the largest of all four
+        sample_bd_field("a1", 101)
+        assert 0 < kernel_points["points"] < 101**3
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda: sample_bd_field("a2", 21),
+            lambda: sample_bd_field("a3", 21),
+            lambda: sample_channel_field("BF", 0.05, 21),
+            lambda: sample_channel_field("BPF", 0.6, 21),
+        ],
+        ids=["bd-a2", "bd-a3", "BF", "BPF"],
+    )
+    def test_unsplit_fields_take_the_per_point_route(self, sample, kernel_points):
+        # a2 and a3 take one root of each pair in each product; BF and BPF
+        # scale c1 and c2 differently, so c1 + c2 takes up to n^2 values
+        sample()
+        assert kernel_points["points"] == 21**3
+
 
 class TestXzFieldSampling:
     def test_flat_equals_bell_diagonal(self, bd_a1):
