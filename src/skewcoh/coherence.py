@@ -297,7 +297,9 @@ def _block_diagonal(qa, qb, gap):
     one block, from its two roots and its off-diagonal ``gap``."""
     u = (qa + qb) / 2.0
     w = np.where(u > 0.0, gap / np.where(u > 0.0, 4.0 * u, 1.0), 0.0)
-    return (u / 2.0 + w) ** 2, (u / 2.0 - w) ** 2
+    # t * t, not t ** 2: numpy squares an array exactly but a 0-d scalar by pow.
+    plus, minus = u / 2.0 + w, u / 2.0 - w
+    return plus * plus, minus * minus
 
 
 def _xz_a1_combine(a, y1, y2):

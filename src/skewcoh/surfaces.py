@@ -84,11 +84,15 @@ class ScalarField3D:
 
 @dataclass(frozen=True)
 class IsoSurfaceMesh:
-    """Triangulated level set; vertex rows are (c1, c2, c3) points."""
+    """Triangulated level set; vertex rows are (c1, c2, c3) points.
+    ``axis`` is the grid axis the mesh was cut from (None for a mesh built
+    by hand); the writers take its values' text from it, and no byte of a
+    written file depends on it."""
 
     vertices: np.ndarray
     triangles: np.ndarray
     level: float
+    axis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
@@ -102,6 +106,11 @@ class IsoSurfaceMesh:
         t.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
+        if self.axis is not None:
+            axis = np.asarray(self.axis, dtype=float)
+            _require_increasing(axis, "mesh axis")
+            axis.flags.writeable = False
+            object.__setattr__(self, "axis", axis)
 
     @property
     def is_empty(self) -> bool:
@@ -241,33 +250,49 @@ def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
 
     # Corner configuration of every cell, bit i for CORNER_OFFSETS[i]: the
     # z pairs first (bits 0-3 at z, 4-7 at z + 1), then the four (x, y).
-    b = below.view(np.uint8)
-    z = b[..., :-1] | (b[..., 1:] << 4)
-    cfg = z[:-1, :-1] | (z[1:, :-1] << 1) | (z[1:, 1:] << 2) | (z[:-1, 1:] << 3)
+    # It is computed in contiguous passes over the flat grid, at the flat
+    # index of the cell's lowest corner; the corners with no cell there (y
+    # or z last) are zeroed.  Bits are placed by multiplying: numpy's uint8
+    # products are vectorized, its shifts are not.
+    b = below.view(np.uint8).ravel()
+    z = b[1:] * 16
+    z |= b[:-1]
+    cfg = np.zeros(values.shape, dtype=np.uint8)
+    last = max(n**3 - n * n - n - 1, 0)  # one past the lowest corner of the last cell
+    head = cfg.reshape(-1)[:last]
+    np.multiply(z[n * n : n * n + last], 2, out=head)
+    head |= z[:last]
+    head |= z[n * n + n : n * n + n + last] * 4
+    head |= z[n : n + last] * 8
     del z
-    cells = np.flatnonzero((cfg != 0) & (cfg != 255))
-    configs = cfg.ravel()[cells]
-    corner = np.ravel_multi_index(np.unravel_index(cells, cfg.shape), values.shape)
+    cfg[:, n - 1 :] = 0
+    cfg[:, :, n - 1 :] = 0
+    corner = np.flatnonzero(cfg + np.uint8(1) > 1)  # configs 0 and 255 wrap to 1 and 0
+    if not len(corner):
+        empty = np.zeros((0, 3))
+        return IsoSurfaceMesh(vertices=empty, triangles=empty.astype(int), level=float(level), axis=axis)
+    configs = cfg.ravel()[corner]
     del cfg
 
-    # Key every crossed edge, in cell order and then triangle order, by the
-    # flat grid index of its anchor corner and its axis: key = index*3 + axis.
+    # Key every crossed edge, in cell order and then triangle order, by its
+    # axis and the flat grid index of its anchor corner: key = axis*n^3 + index.
     strides = np.array([n * n, n, 1])
-    edge_key = (EDGE_OFFSET @ strides) * 3 + EDGE_AXIS
-    rows = TRI_TABLE[configs]
-    keys = np.repeat(corner * 3, TRI_COUNT[configs]) + edge_key[rows[rows >= 0]]
-    del cells, configs, corner, rows
+    edge_key = EDGE_AXIS * n**3 + EDGE_OFFSET @ strides
+    rows = np.take(TRI_TABLE, configs, axis=0)  # 10x faster than fancy indexing here
+    keys = np.repeat(corner, TRI_COUNT[configs]) + edge_key[rows[rows >= 0]]
+    del configs, corner, rows
 
     # The distinct keys are the grid edges whose ends differ in ``below``
     # (each cell's table row uses exactly those of its edges), listed in key
-    # order by one flatnonzero; a slot table maps each key to its edge.  The
+    # order by one flatnonzero over the axis-major mask, whose three planes
+    # are written contiguously; a slot table maps each key to its edge.  The
     # grid-sized masks are freed first, so the table's 12 B per grid point
     # and the per-key arrays set the peak memory.  (A binary search of
     # ``edges`` needs no table but made extraction about 1.5x slower.)
-    cut = np.zeros((n, n, n, 3), dtype=bool)
-    np.not_equal(below[1:], below[:-1], out=cut[:-1, :, :, 0])
-    np.not_equal(below[:, 1:], below[:, :-1], out=cut[:, :-1, :, 1])
-    np.not_equal(below[:, :, 1:], below[:, :, :-1], out=cut[:, :, :-1, 2])
+    cut = np.zeros((3, n, n, n), dtype=bool)
+    np.not_equal(below[1:], below[:-1], out=cut[0, :-1])
+    np.not_equal(below[:, 1:], below[:, :-1], out=cut[1, :, :-1])
+    np.not_equal(below[:, :, 1:], below[:, :, :-1], out=cut[2, :, :, :-1])
     del b, below
     edges = np.flatnonzero(cut)
     del cut
@@ -288,7 +313,7 @@ def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
     tris = rank[ids].reshape(-1, 3)
 
     # Interpolation values: non-physical corners act as strictly below level.
-    flat, ax = np.divmod(edges[order], 3)
+    ax, flat = np.divmod(edges[order], n**3)
     ends = values.ravel()[np.stack((flat, flat + strides[ax]))]
     ends[np.isnan(ends)] = level - 1.0
     v0, v1 = ends
@@ -296,10 +321,11 @@ def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
         t = np.where(v1 == v0, 0.5, np.minimum(np.maximum((level - v0) / (v1 - v0), 0.0), 1.0))
     grid = np.stack(np.unravel_index(flat, values.shape), axis=1)
     verts = axis[grid]
-    along = np.arange(len(verts)), ax
-    lo = verts[along]
-    verts[along] = lo + t * (axis[grid[along] + 1] - lo)
-    return IsoSurfaceMesh(vertices=verts, triangles=tris, level=float(level))
+    # The coordinate along each vertex's edge, by flat index into the rows.
+    along = 3 * np.arange(len(verts)) + ax
+    lo = verts.ravel()[along]
+    verts.ravel()[along] = lo + t * (axis[grid.ravel()[along] + 1] - lo)
+    return IsoSurfaceMesh(vertices=verts, triangles=tris, level=float(level), axis=axis)
 
 
 def channel_surface(kind: str, p: float, level: float, resolution: int = 101) -> IsoSurfaceMesh:
@@ -407,22 +433,41 @@ def _fixed_text(x: np.ndarray, precision: int) -> tuple[np.ndarray, np.ndarray]:
     return words.view(f"S{words.shape[1] * 4}")[:, 0], certain
 
 
-def _float_text(block: np.ndarray, spec: str) -> np.ndarray:
-    """``spec % x`` (a ``%.<precision>g``) for every x of a float block, as a
-    (rows, cols, width) uint8 array of NUL-padded ASCII.  Each distinct bit
-    pattern is formatted once, so -0.0 stays "-0": by ``_fixed_text`` where
-    it certifies the bytes, else by Python's ``%`` (exponent forms, zeros,
-    non-finite values and uncertain roundings).  Mesh and field rows repeat
-    their grid axis values, and in the figure meshes a quarter of the values
-    of a chunk are distinct."""
-    distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
-    x = distinct.view(float)
+def _distinct_text(x: np.ndarray, spec: str) -> np.ndarray:
+    """``spec % v`` (a ``%.<precision>g``) for each v of a 1-d float array,
+    as NUL-padded bytes: by ``_fixed_text`` where it certifies the bytes,
+    else by Python's ``%`` (exponent forms, zeros, non-finite values and
+    uncertain roundings)."""
     text, certain = _fixed_text(x, int(spec[2:-1]))
     other = np.flatnonzero(~certain)
     strings = np.array([spec % v for v in x[other].tolist()], dtype=bytes)
     text = text.astype(np.promote_types(text.dtype, strings.dtype), copy=False)
     text[other] = strings
-    return text[inverse.reshape(block.shape)].view(np.uint8).reshape(*block.shape, -1)
+    return text
+
+
+def _float_text(block: np.ndarray, spec: str, axis: np.ndarray | None = None) -> np.ndarray:
+    """``spec % x`` for every x of a float block, as a (rows, cols, width)
+    uint8 array of NUL-padded ASCII.  A value whose bits equal those of the
+    grid ``axis`` value nearest to it, ``axis[rint((x - axis[0]) / step)]``,
+    takes that axis value's text; the axis is formatted once.  Each distinct
+    bit pattern of the other values is formatted once, so -0.0 stays "-0".
+    Every vertex of a mesh lies on a grid edge, so two thirds of its
+    coordinates are axis values, and mesh and field rows repeat them."""
+    bits = block.view(np.int64)
+    if axis is None or not axis.size:
+        distinct, index = np.unique(bits, return_inverse=True)
+        text = _distinct_text(distinct.view(float), spec)
+    else:
+        n = axis.size
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            nearest = np.rint((block - axis[0]) / ((axis[-1] - axis[0]) / (n - 1)))
+        index = np.fmin(np.fmax(nearest, 0.0), n - 1).astype(np.intp)  # fmax takes NaN to 0
+        off = axis.view(np.int64)[index] != bits
+        distinct, inverse = np.unique(bits[off], return_inverse=True)
+        index[off] = inverse + n
+        text = np.concatenate((_distinct_text(axis, spec), _distinct_text(distinct.view(float), spec)))
+    return text[index.reshape(block.shape)].view(np.uint8).reshape(*block.shape, -1)
 
 
 def _int_text(block: np.ndarray) -> np.ndarray:
@@ -443,26 +488,36 @@ def _int_text(block: np.ndarray) -> np.ndarray:
     return digits
 
 
-def _lines(prefix: str, sep: str, text: np.ndarray) -> np.ndarray:
+def _lines(prefix: str, sep: str, text: np.ndarray) -> bytes:
     """One line per row of NUL-padded fields (rows, cols, width): ``prefix``,
-    the fields joined by the one-character ``sep``, a newline; one boolean
-    mask drops the NULs."""
+    the fields joined by the one-character ``sep``, a newline, as bytes with
+    the NULs dropped.  Every row starts as one template row, and each field
+    is copied as one item.  Face rows whose indices all have the same number
+    of digits hold no NUL, and their bytes are written as built."""
     rows, cols, width = text.shape
-    line = np.empty((rows, len(prefix) + cols * (width + 1)), dtype=np.uint8)
-    line[:, : len(prefix)] = np.frombuffer(prefix.encode("ascii"), np.uint8)
-    cells = line[:, len(prefix) :].reshape(rows, cols, width + 1)
-    cells[..., :width] = text
-    cells[..., width] = np.frombuffer((sep * (cols - 1) + "\n").encode("ascii"), np.uint8)
-    return line[line != 0]
+    template = (prefix + sep.join(["\0" * width] * cols) + "\n").encode("ascii")
+    line = np.empty((rows, len(template)), dtype=np.uint8)
+    line[:] = np.frombuffer(template, np.uint8)
+    fields = line[:, len(prefix) :].reshape(rows, cols, width + 1)[..., :width]
+    fields.view(f"V{width}")[...] = text.view(f"V{width}")
+    data = line.tobytes()
+    return data.translate(None, b"\0") if b"\0" in data else data
 
 
-def _write(path: str | Path, header: str, *sections: tuple[str, str, str, np.ndarray], index_base: int = 0) -> Path:
+def _write(
+    path: str | Path,
+    header: str,
+    *sections: tuple[str, str, str, np.ndarray],
+    index_base: int = 0,
+    axis: np.ndarray | None = None,
+) -> Path:
     """Write ``header``, then for each ``(prefix, spec, sep, table)`` one line
     per table row: ``prefix``, the row's fields joined by ``sep``, a newline.
 
     Float fields are ``spec % value`` and integer fields (``spec`` "%d")
     their decimal digits after adding ``index_base``: the bytes of per-row
     ``%`` formatting, built as numpy byte arrays a chunk of rows at a time.
+    ``axis``, the grid the float values were cut from, only saves work.
     """
     path = Path(path)
     with path.open("wb") as out:
@@ -470,13 +525,14 @@ def _write(path: str | Path, header: str, *sections: tuple[str, str, str, np.nda
         for prefix, spec, sep, table in sections:
             for start in range(0, len(table), _CHUNK_ROWS):
                 rows = table[start : start + _CHUNK_ROWS]
-                text = _int_text(rows + index_base) if rows.dtype.kind in "iu" else _float_text(rows, spec)
+                text = _int_text(rows + index_base) if rows.dtype.kind in "iu" else _float_text(rows, spec, axis)
                 out.write(_lines(prefix, sep, text))
     return path
 
 
 def write_obj(mesh: IsoSurfaceMesh, path: str | Path) -> Path:
-    return _write(path, "", ("v ", "%.9g", " ", mesh.vertices), ("f ", "%d", " ", mesh.triangles), index_base=1)
+    sections = ("v ", "%.9g", " ", mesh.vertices), ("f ", "%d", " ", mesh.triangles)
+    return _write(path, "", *sections, index_base=1, axis=mesh.axis)
 
 
 def write_ply(mesh: IsoSurfaceMesh, path: str | Path) -> Path:
@@ -491,13 +547,13 @@ def write_ply(mesh: IsoSurfaceMesh, path: str | Path) -> Path:
         "property list uchar int vertex_indices\n"
         "end_header\n"
     )
-    return _write(path, header, ("", "%.9g", " ", mesh.vertices), ("3 ", "%d", " ", mesh.triangles))
+    return _write(path, header, ("", "%.9g", " ", mesh.vertices), ("3 ", "%d", " ", mesh.triangles), axis=mesh.axis)
 
 
 def write_field_csv(field: ScalarField3D, path: str | Path) -> Path:
     points = np.nonzero(np.isfinite(field.values))
     table = np.stack([field.axis[i] for i in points] + [field.values[points]], axis=1)
-    return _write(path, "c1,c2,c3,value\n", ("", "%.9g", ",", table))
+    return _write(path, "c1,c2,c3,value\n", ("", "%.9g", ",", table), axis=field.axis)
 
 
 def write_curve_csv(curve: Curve1D, path: str | Path) -> Path:

@@ -301,6 +301,11 @@ class TestMarchingCubes:
         assert np.array_equal(m1.vertices, m2.vertices)
         assert np.array_equal(m1.triangles, m2.triangles)
 
+    def test_mesh_carries_the_field_axis(self, bd_a1):
+        # The writers take the axis values' text from it, empty mesh or not.
+        for level in (0.2, 0.6):
+            assert extract_isosurface(bd_a1, level).axis is bd_a1.axis
+
     def test_vertices_stay_inside_sampled_box(self, bd_a1):
         for level in (0.0, 0.05, 0.2):
             mesh = extract_isosurface(bd_a1, level)
@@ -418,6 +423,8 @@ class TestMeshValidation:
             ScalarField3D(axis=axis, values=np.full((2, 2, 2), 0.25), name="bad")
         with pytest.raises(ValueError, match="curve parameter must be finite and strictly increasing"):
             Curve1D(parameter="p", xs=axis, values=[0.0, 0.0])
+        with pytest.raises(ValueError, match="mesh axis must be finite and strictly increasing"):
+            IsoSurfaceMesh(vertices=np.zeros((0, 3)), triangles=np.zeros((0, 3), dtype=int), level=0.1, axis=axis)
 
     def test_field_cap_enforced(self):
         axis = np.linspace(-1, 1, 3)

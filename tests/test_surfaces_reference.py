@@ -443,6 +443,36 @@ def test_field_csv_matches_per_row_formatting(tmp_path, seed):
     assert_same_bytes(tmp_path, write_field_csv, reference_write_field_csv, field)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "non-uniform", "none"])
+def test_writers_match_per_row_formatting_around_grid_axis_values(tmp_path, kind):
+    # Axis values take the axis's text; values one ulp either side of them,
+    # and -0.0 beside the axis's 0.0 (odd n), must not.
+    grid = np.linspace(-1.0, 1.0, 21)
+    axis = {"uniform": grid, "non-uniform": grid**3, "none": None}[kind]
+    near = grid if axis is None else axis
+    rng = np.random.default_rng(21)
+    pool = np.concatenate((near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf), [-0.0], SPECIAL_FLOATS))
+    rows = _CHUNK_ROWS + 100
+    vertices = rng.choice(np.concatenate((pool, rng.uniform(-1.0, 1.0, len(pool)))), size=(rows, 3))
+    # Indices of every digit count in the first chunk of faces; all of five
+    # digits, so no NUL to drop, in the second.
+    triangles = np.concatenate((rng.integers(0, rows, (_CHUNK_ROWS, 3)), rng.integers(10_000, rows, (100, 3))))
+    mesh = IsoSurfaceMesh(vertices=vertices, triangles=triangles, level=0.1, axis=axis)
+    assert_same_bytes(tmp_path, write_obj, reference_write_obj, mesh)
+    assert_same_bytes(tmp_path, write_ply, reference_write_ply, mesh)
+    if axis is not None:
+        values = rng.choice(pool[(pool >= 0.0) & (pool <= 1.5)], size=(21, 21, 21))
+        values[rng.random(values.shape) < 0.2] = np.nan
+        field = ScalarField3D(axis=axis, values=values, name="grid")
+        assert_same_bytes(tmp_path, write_field_csv, reference_write_field_csv, field)
+
+
+def test_negative_zero_beside_a_grid_zero_prints_as_minus_zero(tmp_path):
+    axis = np.linspace(-1.0, 1.0, 21)
+    mesh = IsoSurfaceMesh(vertices=[[-0.0, 0.0, -0.0]], triangles=np.zeros((0, 3), dtype=int), level=0.1, axis=axis)
+    assert write_obj(mesh, tmp_path / "m.obj").read_bytes() == b"v -0 0 -0\n"
+
+
 @pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
 def test_mesh_writers_match_per_row_formatting_at_chunk_boundaries(tmp_path, rows):
     rng = np.random.default_rng(rows)
