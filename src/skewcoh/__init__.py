@@ -15,7 +15,6 @@ from .channels import (
     KrausChannel,
     apply_product_channel,
     dynamics_curve,
-    gad_reduced,
     make_channel,
     predicted_coefficients,
 )
@@ -46,13 +45,10 @@ from .surfaces import (
     Curve1D,
     IsoSurfaceMesh,
     ScalarField3D,
-    channel_surface,
     extract_isosurface,
-    isotropic_curve,
     sample_bd_field,
     sample_channel_field,
     sample_xz_field,
-    werner_curve,
 )
 from .verify import run_suites
 

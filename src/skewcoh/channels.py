@@ -40,9 +40,6 @@ COEFFICIENT_POWERS: dict[str, tuple[int, int, int]] = {
     "GAD": (1, 1, 2),
 }
 
-# GAD mixing parameter at which the Bell-diagonal form is preserved.
-GAD_FORM_PRESERVING_P = 0.5
-
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -52,8 +49,6 @@ class KrausChannel:
 
     label: str
     operators: np.ndarray
-    p: float | np.ndarray
-    gamma: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         e = np.array(self.operators, dtype=complex)
@@ -91,7 +86,7 @@ def make_channel(kind: str, p, gamma=None) -> KrausChannel:
         ops = np.empty(x.shape + (2, 2, 2), dtype=complex)
         ops[..., 0, :, :] = np.sqrt(1.0 - x / 2.0)[..., None, None] * EYE2
         ops[..., 1, :, :] = np.sqrt(x / 2.0)[..., None, None] * sigma
-        return KrausChannel(label=kind, operators=ops, p=p)
+        return KrausChannel(label=kind, operators=ops)
     if gamma is None:
         raise ValueError("GAD requires a gamma parameter")
     g = _unit_interval("gamma", gamma)
@@ -101,16 +96,7 @@ def make_channel(kind: str, p, gamma=None) -> KrausChannel:
     ops = np.zeros(np.broadcast(x, g).shape + (4, 2, 2), dtype=complex)
     ops[..., 0, 0, 0], ops[..., 0, 1, 1], ops[..., 1, 0, 1] = sp, sp * sh, sp * sg
     ops[..., 2, 0, 0], ops[..., 2, 1, 1], ops[..., 3, 1, 0] = sq * sh, sq, sq * sg
-    return KrausChannel(label=kind, operators=ops, p=p, gamma=gamma)
-
-
-def gad_reduced(p) -> KrausChannel:
-    """GAD in its one-parameter form: mixing fixed at 1/2, damping swept.
-
-    This is the form whose action on Bell-diagonal states matches the
-    declarative coefficient map with the damping strength as 'p'.
-    """
-    return make_channel("GAD", GAD_FORM_PRESERVING_P, gamma=p)
+    return KrausChannel(label=kind, operators=ops)
 
 
 def apply_product_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -154,8 +140,10 @@ def predicted_coefficient_grid(kind: str, c1, c2, c3, p):
 
 
 def channel_as_kraus(kind: str, p) -> KrausChannel:
-    """The Kraus set (or stack) whose Bell-diagonal action the coefficient map predicts."""
-    return gad_reduced(p) if kind == "GAD" else make_channel(kind, p)
+    """The Kraus set (or stack) whose Bell-diagonal action the coefficient map
+    predicts.  For GAD that is its one-parameter form: mixing fixed at 1/2,
+    where the Bell-diagonal form is preserved, and the damping ``p`` swept."""
+    return make_channel("GAD", 0.5, gamma=p) if kind == "GAD" else make_channel(kind, p)
 
 
 def dynamics_curve(kind: str, params: BellDiagonalParams, basis: OrthonormalBasis, p_grid) -> np.ndarray:

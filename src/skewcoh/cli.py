@@ -128,7 +128,8 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         if args.compare or args.csv is not None:
             raise ValueError(f"--{'compare' if args.compare else 'csv'} does not apply to --grid")
         xs = _unit_grid(args.grid, "--grid")
-        curve = sf.werner_curve(xs) if args.family == "werner" else sf.isotropic_curve(xs)
+        parameter, closed = ("p", werner_coherence) if args.family == "werner" else ("F", isotropic_coherence)
+        curve = sf.Curve1D(parameter=parameter, xs=xs, values=closed(xs))
         out = _out_dir(args) / f"curve_{args.family}.csv"
         sf.write_curve_csv(curve, out)
         print(out)
@@ -199,12 +200,17 @@ def cmd_surface(args: argparse.Namespace) -> int:
         _last_field[key] = field
 
     mesh = sf.extract_isosurface(field, args.level)
-    # An empty physical region always gives an empty mesh: scan it only then.
+    # A mesh is empty only when every grid point lies on one side of the level,
+    # NaN counting as below: the maximum, scanned only then, tells which side.
     if mesh.is_empty:
-        if field.physical_fraction() == 0.0:
+        top = np.fmax.reduce(field.values, axis=None, initial=np.nan)
+        if np.isnan(top):
             _warn("the field has an empty physical region; the mesh is empty")
         else:
-            _warn(f"level {sf._tag(args.level)} exceeds the field maximum; the mesh is empty")
+            where = "exceeds the field maximum" if args.level > top else (
+                "equals the field maximum" if args.level == top else "lies below the field minimum"
+            )
+            _warn(f"level {sf._tag(args.level)} {where}; the mesh is empty")
     out = _out_dir(args)
     writer = sf.write_obj if args.format == "obj" else sf.write_ply
     path = writer(mesh, out / f"surface_{field.name}_level{sf._tag(args.level)}.{args.format}")

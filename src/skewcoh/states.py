@@ -211,13 +211,6 @@ def isotropic(fidelity: float) -> DensityMatrix:
     return bell_diagonal(BellDiagonalParams(*_isotropic_coefficients(fidelity)))
 
 
-def _two_qubit(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-    return m
-
-
 def _pauli_traces(m: np.ndarray, paulis: np.ndarray) -> np.ndarray:
     """The read-back kernel: tr(m P) for every matrix m of a stack (shape
     (..., 4, 4)) and every observable P of the stack ``paulis``, shape
@@ -237,11 +230,7 @@ def correlation_coefficients(rho: DensityMatrix | np.ndarray) -> tuple[float, fl
     are real for Hermitian input and the residual imaginary part is
     checked against STATE_TOL.
     """
-    return tuple(float(t) for t in _pauli_traces(_two_qubit(rho), PAULI_PAIRS))
-
-
-def local_bloch_vectors(rho: DensityMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-qubit Bloch vectors (r, s) with r_i = tr(rho sigma_i (x) I),
-    the imaginary parts checked as in :func:`correlation_coefficients`."""
-    m = _two_qubit(rho)
-    return _pauli_traces(m, LOCAL_PAULIS_A), _pauli_traces(m, LOCAL_PAULIS_B)
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
+    return tuple(float(t) for t in _pauli_traces(m, PAULI_PAIRS))

@@ -25,8 +25,6 @@ from .coherence import (
     _SplitTerm,
     _xz_field,
     bd_coherence_values,
-    isotropic_coherence,
-    werner_coherence,
     xz_coherence_values,
 )
 
@@ -73,10 +71,6 @@ class ScalarField3D:
         values.flags.writeable = False
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "values", values)
-
-    @property
-    def resolution(self) -> int:
-        return self.axis.size
 
     def physical_fraction(self) -> float:
         return float(np.isfinite(self.values).mean())
@@ -326,23 +320,6 @@ def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
     lo = verts.ravel()[along]
     verts.ravel()[along] = lo + t * (axis[grid.ravel()[along] + 1] - lo)
     return IsoSurfaceMesh(vertices=verts, triangles=tris, level=float(level), axis=axis)
-
-
-def channel_surface(kind: str, p: float, level: float, resolution: int = 101) -> IsoSurfaceMesh:
-    """Level set of the channel-output coherence over input coefficients."""
-    return extract_isosurface(sample_channel_field(kind, p, resolution), level)
-
-
-def werner_curve(p_grid) -> Curve1D:
-    """Closed-form Werner coherence along a p grid."""
-    xs = np.asarray(p_grid, dtype=float)
-    return Curve1D(parameter="p", xs=xs, values=werner_coherence(xs))
-
-
-def isotropic_curve(f_grid) -> Curve1D:
-    """Closed-form isotropic coherence along an F grid."""
-    xs = np.asarray(f_grid, dtype=float)
-    return Curve1D(parameter="F", xs=xs, values=isotropic_coherence(xs))
 
 
 def mesh_component_count(mesh: IsoSurfaceMesh) -> int:

@@ -581,7 +581,10 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run the selected suites (all by default) on a fresh seeded generator.
 
-    ``samples`` (1 to ``MAX_SAMPLES``) overrides every suite's sample counts."""
+    ``seed`` is a non-negative integer; ``samples`` (1 to ``MAX_SAMPLES``)
+    overrides every suite's sample counts."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if samples is not None and not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be >= 1 and <= {MAX_SAMPLES}, got {samples}")
     selected = list(ALL_SUITES) if names is None else names

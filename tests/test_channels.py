@@ -9,7 +9,6 @@ from skewcoh.channels import (
     apply_product_channel,
     channel_as_kraus,
     dynamics_curve,
-    gad_reduced,
     make_channel,
     predicted_coefficient_grid,
     predicted_coefficients,
@@ -17,11 +16,13 @@ from skewcoh.channels import (
 from skewcoh.coherence import coherence
 from skewcoh.linalg import EYE2, SIGMA3
 from skewcoh.states import (
+    LOCAL_PAULIS_A,
+    LOCAL_PAULIS_B,
     BellDiagonalParams,
     DensityMatrix,
+    _pauli_traces,
     bell_diagonal,
     correlation_coefficients,
-    local_bloch_vectors,
 )
 
 FIG_PARAMS = (BellDiagonalParams(-0.2, 0.6, 0.6), BellDiagonalParams(-0.6, 0.2, 0.2))
@@ -64,7 +65,7 @@ class TestMakeChannel:
 
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ValueError, match="complete"):
-            KrausChannel(label="BF", operators=(EYE2, EYE2), p=0.0)
+            KrausChannel(label="BF", operators=(EYE2, EYE2))
 
 
 class TestChannelStacks:
@@ -107,7 +108,7 @@ class TestChannelStacks:
 
     def test_operators_are_copied(self):
         ops = np.array([EYE2, 0.0 * EYE2])
-        channel = KrausChannel(label="BF", operators=ops, p=0.0)
+        channel = KrausChannel(label="BF", operators=ops)
         ops[0, 0, 0] = 2.0
         assert channel.operators[0, 0, 0] == 1.0
 
@@ -115,7 +116,7 @@ class TestChannelStacks:
         ops = np.array(make_channel("BPF", self.P_GRID).operators)
         ops[17, 1] *= 1.001
         with pytest.raises(ValueError, match="not complete"):
-            KrausChannel(label="BPF", operators=ops, p=self.P_GRID)
+            KrausChannel(label="BPF", operators=ops)
 
     @pytest.mark.parametrize("bad", [1.5, -1e-300, np.nan])
     def test_one_bad_value_of_a_large_stack_is_named(self, bad):
@@ -153,7 +154,7 @@ class TestProductChannel:
     def test_form_preserved(self):
         for kind in CHANNEL_KINDS:
             moved = apply_product_channel(channel_as_kraus(kind, 0.3), bell_diagonal(FIG_PARAMS[1]))
-            r_vec, s_vec = local_bloch_vectors(moved)
+            r_vec, s_vec = _pauli_traces(moved.matrix, LOCAL_PAULIS_A), _pauli_traces(moved.matrix, LOCAL_PAULIS_B)
             assert np.abs(r_vec).max() <= 1e-12
             assert np.abs(s_vec).max() <= 1e-12
 
@@ -161,7 +162,7 @@ class TestProductChannel:
         # away from mixing 1/2 the output grows local Bloch components, so
         # the declarative map is only claimed at 1/2
         moved = apply_product_channel(make_channel("GAD", 0.9, 0.5), bell_diagonal(FIG_PARAMS[0]))
-        r_vec, _ = local_bloch_vectors(moved)
+        r_vec = _pauli_traces(moved.matrix, LOCAL_PAULIS_A)
         assert np.abs(r_vec).max() > 1e-3
 
     def test_wrong_dimension(self):
@@ -291,7 +292,7 @@ class TestDynamicsCurve:
             dynamics_curve("BF", FIG_PARAMS[0], amub_basis("a1"), [0.0, 1.5])
 
 
-def test_gad_reduced_matches_explicit():
-    assert np.allclose(
-        np.array(gad_reduced(0.3).operators), np.array(make_channel("GAD", 0.5, 0.3).operators)
-    )
+def test_gad_channel_as_kraus_is_half_mixing():
+    # GAD's one-parameter form: mixing fixed at 1/2, the damping swept.
+    for p in (0.3, np.array([0.0, 0.3, 0.72, 1.0])):
+        assert np.array_equal(channel_as_kraus("GAD", p).operators, make_channel("GAD", 0.5, p).operators)

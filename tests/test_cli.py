@@ -191,13 +191,33 @@ class TestSurfaceCommand:
         assert "empty physical region" in err
         assert "exceeds" not in err
 
-    def test_nonempty_mesh_skips_the_physical_scan(self, capsys, tmp_path, monkeypatch):
-        # an empty physical region always gives an empty mesh, so a nonempty
-        # mesh needs no scan of the field
-        def scan(field):
-            raise AssertionError("physical_fraction called for a nonempty mesh")
+    @pytest.mark.parametrize(
+        "argv, warning",
+        [
+            (["bd-a1", "--level", "0.5000001"], "level 0.5000001 exceeds the field maximum"),
+            # the a1 field peaks at exactly 0.5
+            (["bd-a1", "--level", "0.5"], "level 0.5 equals the field maximum"),
+            # every point of the 4^3 BF field at p = 1 is physical and above 0.0286
+            (["channel:BF", "--p", "1", "--level", "0", "--resolution", "4"], "level 0 lies below the field minimum"),
+            (["xz-a1", "--r", "2", "--s", "2", "--level", "0.1"], "the field has an empty physical region"),
+        ],
+        ids=["above-maximum", "at-maximum", "below-minimum", "no-physical-point"],
+    )
+    def test_empty_mesh_warning_names_its_cause(self, capsys, tmp_path, argv, warning):
+        code, _, err = run(capsys, "surface", "--resolution", "5", "--field", *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert err == f"warning: {warning}; the mesh is empty\n"
 
-        monkeypatch.setattr(cli.sf.ScalarField3D, "physical_fraction", scan)
+    def test_nonempty_mesh_skips_the_physical_scan(self, capsys, tmp_path, monkeypatch):
+        # a mesh is empty whenever no point is physical or the level is at
+        # least the maximum, so a nonempty mesh needs no scan of the field
+        class NoScan:
+            def __getattr__(self, name):
+                if name == "fmax":
+                    raise AssertionError("field scanned for a nonempty mesh")
+                return getattr(np, name)
+
+        monkeypatch.setattr(cli, "np", NoScan())
         code, _, err = run(
             capsys, "surface", "--field", "bd-a1", "--level", "0.1",
             "--resolution", "11", "--out", str(tmp_path),
@@ -447,6 +467,15 @@ class TestVerifyCommand:
         assert code == cli.EXIT_BAD_ARGS
         assert out == ""
         assert f"<= {MAX_SAMPLES}" in err
+        assert ran == []
+
+    def test_negative_seed_exits_2_naming_the_flag(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(ALL_SUITES, "closed-forms", lambda rng, n: ran.append(n))
+        code, out, err = run(capsys, "verify", "--suite", "closed-forms", "--seed", "-1")
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
         assert ran == []
 
     def test_unknown_suite_rejected(self, capsys):

@@ -3,7 +3,7 @@
 ``apply_product_channel`` contracts over the Kraus products stacked when
 the channel is built; the per-pair ``kron`` loop it replaced is kept here
 as the reference.  ``sqrt_psd`` keeps the arithmetic of a plain
-``np.linalg.eigh`` root and ``_xz_matrix``/``local_bloch_vectors`` use
+``np.linalg.eigh`` root and ``_xz_matrix``/``_pauli_traces`` use
 hoisted Pauli products, so those three must agree bit for bit.  On a
 stack of states, ``DensityMatrix``, every measure, ``apply_product_channel``,
 the state matrices and the Pauli read-back kernel must equal the per-state
@@ -40,7 +40,6 @@ from skewcoh.states import (
     _xz_matrix,
     bell_diagonal,
     correlation_coefficients,
-    local_bloch_vectors,
 )
 from skewcoh.verify import random_bell_params, random_density, random_xz_params
 
@@ -104,7 +103,7 @@ def test_complex_kraus_set_matches_kron_loop():
     # Only BPF has complex operators among the four families; a phase-rotated
     # set makes every product complex, so a lost conjugation cannot hide.
     phase = np.diag([1.0, np.exp(0.7j)])
-    channel = KrausChannel("rotated", (np.sqrt(0.6) * phase, np.sqrt(0.4) * SIGMA2 @ phase), p=0.4)
+    channel = KrausChannel("rotated", (np.sqrt(0.6) * phase, np.sqrt(0.4) * SIGMA2 @ phase))
     assert channel_worst(channel, full_rank_states(18, 20)) <= CHANNEL_TOL
 
 
@@ -143,7 +142,7 @@ def test_xz_matrix_bit_identical_to_kron_expression():
 def test_local_bloch_vectors_bit_identical_to_kron_expression():
     for rho in full_rank_states(17, 20):
         m = rho.matrix
-        r, s = local_bloch_vectors(rho)
+        r, s = _pauli_traces(m, LOCAL_PAULIS_A), _pauli_traces(m, LOCAL_PAULIS_B)
         sigmas = (SIGMA1, SIGMA2, SIGMA3)
         assert np.array_equal(r, np.array([np.trace(m @ np.kron(sig, EYE2)).real for sig in sigmas]))
         assert np.array_equal(s, np.array([np.trace(m @ np.kron(EYE2, sig)).real for sig in sigmas]))
@@ -324,7 +323,7 @@ def test_stacked_read_back_equals_per_state():
     assert pairs.shape == local_a.shape == local_b.shape == (len(states), 3)
     for c, r, s, rho in zip(pairs, local_a, local_b, states):
         assert tuple(float(x) for x in c) == correlation_coefficients(rho)
-        r_vec, s_vec = local_bloch_vectors(rho)
+        r_vec, s_vec = _pauli_traces(rho.matrix, LOCAL_PAULIS_A), _pauli_traces(rho.matrix, LOCAL_PAULIS_B)
         assert np.array_equal(r, r_vec) and np.array_equal(s, s_vec)
 
 
@@ -337,4 +336,4 @@ def test_read_back_rejects_one_large_imaginary_trace():
     with pytest.raises(ValueError, match="imaginary part"):
         correlation_coefficients(stack[17])
     with pytest.raises(ValueError, match="imaginary part"):
-        local_bloch_vectors(np.eye(4) / 4 + 1e-6j * LOCAL_PAULIS_B[1])
+        _pauli_traces(np.eye(4) / 4 + 1e-6j * LOCAL_PAULIS_B[1], LOCAL_PAULIS_B)

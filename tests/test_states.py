@@ -4,13 +4,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from skewcoh.states import (
+    LOCAL_PAULIS_A,
+    LOCAL_PAULIS_B,
     BellDiagonalParams,
     DensityMatrix,
     XStateZParams,
+    _pauli_traces,
     bell_diagonal,
     correlation_coefficients,
     isotropic,
-    local_bloch_vectors,
     tetrahedron_margins,
     werner,
     x_state_z,
@@ -77,7 +79,8 @@ class TestXStateZ:
             XStateZParams(0.1, 0.1, 0.25, 0.25, 0.5 + 1e-11)
 
     def test_bloch_vectors(self):
-        r_vec, s_vec = local_bloch_vectors(x_state_z(XStateZParams(0.3, -0.2, 0.1, 0.1, 0.1)))
+        m = x_state_z(XStateZParams(0.3, -0.2, 0.1, 0.1, 0.1)).matrix
+        r_vec, s_vec = _pauli_traces(m, LOCAL_PAULIS_A), _pauli_traces(m, LOCAL_PAULIS_B)
         assert np.allclose(r_vec, [0.0, 0.0, 0.3], atol=1e-12)
         assert np.allclose(s_vec, [0.0, 0.0, -0.2], atol=1e-12)
 

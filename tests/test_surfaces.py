@@ -3,22 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skewcoh import surfaces
+from skewcoh import cli, surfaces
 from skewcoh.channels import predicted_coefficient_grid
-from skewcoh.coherence import bd_coherence_values, xz_coherence_values
+from skewcoh.coherence import bd_coherence_values, isotropic_coherence, werner_coherence, xz_coherence_values
 from skewcoh.surfaces import (
     MAX_RESOLUTION,
     Curve1D,
     IsoSurfaceMesh,
     ScalarField3D,
-    channel_surface,
     extract_isosurface,
-    isotropic_curve,
     mesh_component_count,
     sample_bd_field,
     sample_channel_field,
     sample_xz_field,
-    werner_curve,
     write_curve_csv,
     write_field_csv,
     write_obj,
@@ -315,7 +312,7 @@ class TestMarchingCubes:
 class TestChannelSurfaces:
     def test_p_zero_reduces_to_plain_field(self, bd_a1):
         plain = extract_isosurface(bd_a1, 0.2)
-        via_channel = channel_surface("BF", 0.0, 0.2, RES)
+        via_channel = extract_isosurface(sample_channel_field("BF", 0.0, RES), 0.2)
         assert np.array_equal(plain.vertices, via_channel.vertices)
         assert np.array_equal(plain.triangles, via_channel.triangles)
 
@@ -326,9 +323,9 @@ class TestChannelSurfaces:
         assert moved.physical_fraction() > plain.physical_fraction()
 
     def test_split_structure(self):
-        mesh = channel_surface("BF", 0.05, 0.4, 61)
+        mesh = extract_isosurface(sample_channel_field("BF", 0.05, 61), 0.4)
         assert mesh_component_count(mesh) > 1
-        mesh = channel_surface("GAD", 0.05, 0.4, 61)
+        mesh = extract_isosurface(sample_channel_field("GAD", 0.05, 61), 0.4)
         assert mesh_component_count(mesh) >= 4
 
     def test_unknown_kind(self):
@@ -340,15 +337,29 @@ class TestChannelSurfaces:
             sample_channel_field("BF", 1.5, RES)
 
 
+def grid_curve(tmp_path, family: str, points: int) -> Curve1D:
+    """The closed-form curve of a family on ``points`` evenly spaced values,
+    checked to be the one that ``coherence --grid`` writes, byte for byte."""
+    xs = np.linspace(0, 1, points)
+    if family == "werner":
+        curve = Curve1D(parameter="p", xs=xs, values=werner_coherence(xs))
+    else:
+        curve = Curve1D(parameter="F", xs=xs, values=isotropic_coherence(xs))
+    assert cli.main(["coherence", "--family", family, "--grid", str(points), "--out", str(tmp_path)]) == 0
+    written = (tmp_path / f"curve_{family}.csv").read_bytes()
+    assert written == write_curve_csv(curve, tmp_path / "expected.csv").read_bytes()
+    return curve
+
+
 class TestCurves:
-    def test_werner_endpoints_and_monotonicity(self):
-        curve = werner_curve(np.linspace(0, 1, 101))
+    def test_werner_endpoints_and_monotonicity(self, tmp_path):
+        curve = grid_curve(tmp_path, "werner", 101)
         assert curve.values[0] == pytest.approx(0.5, abs=1e-15)
         assert curve.values[-1] == pytest.approx((5 - np.sqrt(21)) / 16, abs=1e-15)
         assert np.diff(curve.values).max() <= 1e-10
 
-    def test_isotropic_shape(self):
-        curve = isotropic_curve(np.linspace(0, 1, 101))
+    def test_isotropic_shape(self, tmp_path):
+        curve = grid_curve(tmp_path, "isotropic", 101)
         assert curve.values[25] == pytest.approx(0.0, abs=1e-15)
         assert curve.values[-1] == pytest.approx(0.5, abs=1e-15)
         assert np.diff(curve.values[:26]).max() <= 1e-10
@@ -390,7 +401,8 @@ class TestWriters:
         assert len(lines) - 1 == int(np.isfinite(field.values).sum())
 
     def test_curve_csv(self, tmp_path):
-        curve = werner_curve(np.linspace(0, 1, 5))
+        xs = np.linspace(0, 1, 5)
+        curve = Curve1D(parameter="p", xs=xs, values=werner_coherence(xs))
         path = write_curve_csv(curve, tmp_path / "c.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "p,C"
@@ -451,4 +463,4 @@ class TestMeshValidation:
         # extracts to an empty mesh
         values = np.full((resolution,) * 3, np.nan)
         field = ScalarField3D(axis=np.linspace(-1, 1, resolution), values=values, name="empty")
-        assert field.resolution == resolution
+        assert field.axis.size == resolution

@@ -33,7 +33,6 @@ from skewcoh.surfaces import (
     _fixed_text,
     _float_text,
     _write,
-    channel_surface,
     extract_isosurface,
     mesh_component_count,
     sample_bd_field,
@@ -313,10 +312,10 @@ def test_extraction_peak_memory():
     "make_mesh, count",
     [
         (lambda: extract_isosurface(synthetic_field(two_wells, 41), 0.45), 2),
-        (lambda: channel_surface("BF", 0.05, 0.4), 6),
-        (lambda: channel_surface("PF", 0.05, 0.4), 4),
-        (lambda: channel_surface("BPF", 0.05, 0.4), 6),
-        (lambda: channel_surface("GAD", 0.05, 0.4), 12),
+        (lambda: extract_isosurface(sample_channel_field("BF", 0.05), 0.4), 6),
+        (lambda: extract_isosurface(sample_channel_field("PF", 0.05), 0.4), 4),
+        (lambda: extract_isosurface(sample_channel_field("BPF", 0.05), 0.4), 6),
+        (lambda: extract_isosurface(sample_channel_field("GAD", 0.05), 0.4), 12),
     ],
     ids=["two-spheres", "BF", "PF", "BPF", "GAD"],
 )
@@ -437,8 +436,8 @@ def test_field_csv_matches_per_row_formatting(tmp_path, seed):
     values[rng.random(values.shape) < 0.1] = 0.0
     values[rng.random(values.shape) < 0.1] = 1e-7
     # An axis is strictly increasing: distinct draws besides the special values.
-    others = np.setdiff1d(random_floats(rng, 2 * field.resolution), [1e-5, 2.2e-16])
-    axis = np.sort(np.concatenate(([-0.0, 1e-5, 2.2e-16], rng.choice(others, field.resolution - 3, replace=False))))
+    others = np.setdiff1d(random_floats(rng, 2 * field.axis.size), [1e-5, 2.2e-16])
+    axis = np.sort(np.concatenate(([-0.0, 1e-5, 2.2e-16], rng.choice(others, field.axis.size - 3, replace=False))))
     field = ScalarField3D(axis=axis, values=values, name="random")
     assert_same_bytes(tmp_path, write_field_csv, reference_write_field_csv, field)
 
