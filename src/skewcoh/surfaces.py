@@ -31,11 +31,15 @@ from .coherence import (
 BD_MEASURES = ("a1", "a2", "a3", "sum")
 # Single-basis fields are capped at 1/2, summed fields at 3/2.
 FIELD_CAP = 1.5 + 1e-9
-# A field holds 8 B per grid point.  Extraction adds a 12 B per point slot
-# table and mesh arrays that grow with the surface: the largest figure meshes
-# peak at 21 B per point over the field at 101^3, a like mesh at 15 B at
-# 201^3.  At 301^3 that is 220 MB for the field, 330 MB plus the mesh on top.
+# A field holds 8 B per grid point.  Extraction holds one slab's masks and
+# slot table and the mesh arrays, which grow with the surface: the largest
+# figure mesh peaks at 12.3 B per point over the field at 101^3, 4.7 B at
+# 201^3 and 3.1 B at 301^3, where that is 86 MB beside the field's 218 MB.
 MAX_RESOLUTION = 301
+# Grid points per slab of cell rows that extract_isosurface walks (at least
+# one row: 25 at 101^3): a slab's 12 B per point slot table stays near 3 MB,
+# under numpy's 4 MB huge-page threshold.
+_EXTRACT_SLAB_POINTS = 1 << 18
 
 
 def _require_increasing(xs: np.ndarray, what: str) -> None:
@@ -240,85 +244,106 @@ def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
     values = field.values
     axis = field.axis
     n = axis.size
-    below = ~(values > level)  # NaN compares false: non-physical is below
+    plane = n * n
+    strides = np.array([plane, n, 1])
+    step = max(_EXTRACT_SLAB_POINTS // plane, 1)
+    # The ids of the y and z edges on the value row two slabs share, written
+    # by the slab before, which uses every crossed one of them first.
+    shared = np.empty((2, plane), dtype=np.int32)
+    count = 0
+    vertex_parts, triangle_parts = [np.zeros((0, 3))], [np.zeros((0, 3), dtype=int)]
+    for top in range(0, n - 1, step):
+        rows = min(step, n - 1 - top)  # cell rows; the slab holds rows + 1 value rows
+        slab = values[top : top + rows + 1]
+        size = slab.size
+        below = ~(slab > level)  # NaN compares false: non-physical is below
 
-    # Corner configuration of every cell, bit i for CORNER_OFFSETS[i]: the
-    # z pairs first (bits 0-3 at z, 4-7 at z + 1), then the four (x, y).
-    # It is computed in contiguous passes over the flat grid, at the flat
-    # index of the cell's lowest corner; the corners with no cell there (y
-    # or z last) are zeroed.  Bits are placed by multiplying: numpy's uint8
-    # products are vectorized, its shifts are not.
-    b = below.view(np.uint8).ravel()
-    z = b[1:] * 16
-    z |= b[:-1]
-    cfg = np.zeros(values.shape, dtype=np.uint8)
-    last = max(n**3 - n * n - n - 1, 0)  # one past the lowest corner of the last cell
-    head = cfg.reshape(-1)[:last]
-    np.multiply(z[n * n : n * n + last], 2, out=head)
-    head |= z[:last]
-    head |= z[n * n + n : n * n + n + last] * 4
-    head |= z[n : n + last] * 8
-    del z
-    cfg[:, n - 1 :] = 0
-    cfg[:, :, n - 1 :] = 0
-    corner = np.flatnonzero(cfg + np.uint8(1) > 1)  # configs 0 and 255 wrap to 1 and 0
-    if not len(corner):
-        empty = np.zeros((0, 3))
-        return IsoSurfaceMesh(vertices=empty, triangles=empty.astype(int), level=float(level), axis=axis)
-    configs = cfg.ravel()[corner]
-    del cfg
+        # Corner configuration of every cell, bit i for CORNER_OFFSETS[i]: the
+        # z pairs first (bits 0-3 at z, 4-7 at z + 1), then the four (x, y).
+        # It is computed in contiguous passes over the flat slab, at the flat
+        # index of the cell's lowest corner; the corners with no cell there (y
+        # or z last) are zeroed.  Bits are placed by multiplying: numpy's uint8
+        # products are vectorized, its shifts are not.
+        b = below.view(np.uint8).ravel()
+        z = b[1:] * 16
+        z |= b[:-1]
+        cfg = np.zeros((rows, n, n), dtype=np.uint8)
+        last = rows * plane - n - 1  # one past the lowest corner of the last cell
+        head = cfg.reshape(-1)[:last]
+        np.multiply(z[plane : plane + last], 2, out=head)
+        head |= z[:last]
+        head |= z[plane + n : plane + n + last] * 4
+        head |= z[n : n + last] * 8
+        del z
+        cfg[:, n - 1 :] = 0
+        cfg[:, :, n - 1 :] = 0
+        corner = np.flatnonzero(cfg + np.uint8(1) > 1)  # configs 0 and 255 wrap to 1 and 0
+        if not len(corner):
+            continue  # then no edge of the slab is crossed, the shared row's included
+        configs = cfg.ravel()[corner]
+        del cfg
 
-    # Key every crossed edge, in cell order and then triangle order, by its
-    # axis and the flat grid index of its anchor corner: key = axis*n^3 + index.
-    strides = np.array([n * n, n, 1])
-    edge_key = EDGE_AXIS * n**3 + EDGE_OFFSET @ strides
-    rows = np.take(TRI_TABLE, configs, axis=0)  # 10x faster than fancy indexing here
-    keys = np.repeat(corner, TRI_COUNT[configs]) + edge_key[rows[rows >= 0]]
-    del configs, corner, rows
+        # Key every crossed edge, in cell order and then triangle order, by its
+        # axis and the flat slab index of its anchor corner: key = axis*size + index.
+        edge_key = EDGE_AXIS * size + EDGE_OFFSET @ strides
+        table_rows = np.take(TRI_TABLE, configs, axis=0)  # 10x faster than fancy indexing here
+        keys = np.repeat(corner, TRI_COUNT[configs]) + edge_key[table_rows[table_rows >= 0]]
+        del configs, corner, table_rows
 
-    # The distinct keys are the grid edges whose ends differ in ``below``
-    # (each cell's table row uses exactly those of its edges), listed in key
-    # order by one flatnonzero over the axis-major mask, whose three planes
-    # are written contiguously; a slot table maps each key to its edge.  The
-    # grid-sized masks are freed first, so the table's 12 B per grid point
-    # and the per-key arrays set the peak memory.  (A binary search of
-    # ``edges`` needs no table but made extraction about 1.5x slower.)
-    cut = np.zeros((3, n, n, n), dtype=bool)
-    np.not_equal(below[1:], below[:-1], out=cut[0, :-1])
-    np.not_equal(below[:, 1:], below[:, :-1], out=cut[1, :, :-1])
-    np.not_equal(below[:, :, 1:], below[:, :, :-1], out=cut[2, :, :, :-1])
-    del b, below
-    edges = np.flatnonzero(cut)
-    del cut
-    slot = np.empty(3 * n**3, dtype=np.int32)
-    slot[edges] = np.arange(len(edges), dtype=np.int32)
-    ids = slot[keys]
-    del slot
+        # The distinct keys are the slab's edges whose ends differ in ``below``
+        # (each cell's table row uses exactly those of its edges), but for the
+        # x edges of the last value row, which belong to the next slab's cells;
+        # they are listed in key order by one flatnonzero over the axis-major
+        # mask, whose three planes are written contiguously, and a slot table
+        # maps each key to its edge.  (A binary search of ``edges`` needs no
+        # table but made extraction about 1.5x slower.)
+        cut = np.zeros((3, rows + 1, n, n), dtype=bool)
+        np.not_equal(below[1:], below[:-1], out=cut[0, :-1])
+        np.not_equal(below[:, 1:], below[:, :-1], out=cut[1, :, :-1])
+        np.not_equal(below[:, :, 1:], below[:, :, :-1], out=cut[2, :, :, :-1])
+        del b, below
+        edges = np.flatnonzero(cut)
+        del cut
+        slot = np.empty(3 * size, dtype=np.int32)
+        slot[edges] = np.arange(len(edges), dtype=np.int32)
+        ids = slot[keys]
+        del slot
 
-    # Vertices are numbered in order of first use: the edges at their
-    # first-use positions, in position order.
-    first = np.full(len(edges), len(keys))
-    np.minimum.at(first, ids, np.arange(len(keys)))
-    is_first = np.zeros(len(keys), dtype=bool)
-    is_first[first] = True
-    order = ids[is_first]
-    rank = np.empty(len(edges), dtype=np.intp)
-    rank[order] = np.arange(len(edges))
-    tris = rank[ids].reshape(-1, 3)
+        # Vertices are numbered in order of first use: the edges the slab
+        # before did not number, at their first-use positions in position
+        # order, after the count so far.
+        first = np.full(len(edges), len(keys))
+        np.minimum.at(first, ids, np.arange(len(keys)))
+        is_first = np.zeros(len(keys), dtype=bool)
+        is_first[first] = True
+        order = ids[is_first]
+        ax, flat = np.divmod(edges, size)
+        carried = (ax > 0) & (flat < plane) & (top > 0)
+        rank = np.empty(len(edges), dtype=np.int32)
+        rank[carried] = shared[ax[carried] - 1, flat[carried]]
+        order = order[~carried[order]]
+        rank[order] = np.arange(count, count + len(order), dtype=np.int32)
+        count += len(order)
+        triangle_parts.append(rank[ids].reshape(-1, 3))
+        onto = (ax > 0) & (flat >= size - plane)
+        shared[ax[onto] - 1, flat[onto] - (size - plane)] = rank[onto]
 
-    # Interpolation values: non-physical corners act as strictly below level.
-    ax, flat = np.divmod(edges[order], n**3)
-    ends = values.ravel()[np.stack((flat, flat + strides[ax]))]
-    ends[np.isnan(ends)] = level - 1.0
-    v0, v1 = ends
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(v1 == v0, 0.5, np.minimum(np.maximum((level - v0) / (v1 - v0), 0.0), 1.0))
-    grid = np.stack(np.unravel_index(flat, values.shape), axis=1)
-    verts = axis[grid]
-    # The coordinate along each vertex's edge, by flat index into the rows.
-    along = 3 * np.arange(len(verts)) + ax
-    lo = verts.ravel()[along]
-    verts.ravel()[along] = lo + t * (axis[grid.ravel()[along] + 1] - lo)
+        # Interpolation values: non-physical corners act as strictly below level.
+        ax, flat = ax[order], flat[order]
+        ends = slab.ravel()[np.stack((flat, flat + strides[ax]))]
+        ends[np.isnan(ends)] = level - 1.0
+        v0, v1 = ends
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(v1 == v0, 0.5, np.minimum(np.maximum((level - v0) / (v1 - v0), 0.0), 1.0))
+        grid = np.stack(np.unravel_index(flat, slab.shape), axis=1)
+        grid[:, 0] += top
+        verts = axis[grid]
+        # The coordinate along each vertex's edge, by flat index into the rows.
+        along = 3 * np.arange(len(verts)) + ax
+        lo = verts.ravel()[along]
+        verts.ravel()[along] = lo + t * (axis[grid.ravel()[along] + 1] - lo)
+        vertex_parts.append(verts)
+    verts, tris = np.concatenate(vertex_parts), np.concatenate(triangle_parts, dtype=np.intp)
     return IsoSurfaceMesh(vertices=verts, triangles=tris, level=float(level), axis=axis)
 
 

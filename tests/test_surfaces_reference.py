@@ -5,8 +5,9 @@ loop and the per-line writers produced; the hashes in
 ``figure_hashes_res41.json`` were recorded from that code.  The loop
 implementations are kept here, verbatim, as the references the array code
 is compared with, together with the ``np.unique``-based vertex numbering
-that the sort-free numbering replaced and the per-row ``%`` writers that
-the array writers replaced.
+that the sort-free numbering replaced, the whole-grid extraction that the
+slab-by-slab extraction replaced, and the per-row ``%`` writers that the
+array writers replaced.
 """
 
 import hashlib
@@ -23,8 +24,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewcoh import cli
-from skewcoh._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_CORNERS, EDGE_OFFSET, TRI_TABLE
+from skewcoh import cli, surfaces
+from skewcoh._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_CORNERS, EDGE_OFFSET, TRI_COUNT, TRI_TABLE
 from skewcoh.surfaces import (
     _CHUNK_ROWS,
     Curve1D,
@@ -178,6 +179,102 @@ def unique_numbering_extract_isosurface(field: ScalarField3D, level: float) -> I
     return IsoSurfaceMesh(vertices=verts, triangles=tris, level=float(level))
 
 
+def whole_grid_extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
+    """The extraction that cut the whole grid at once, before it walked
+    slabs of cell rows: marching-cubes triangulation of {field == level}.
+
+    A grid corner counts as below-level when its value is <= level or when
+    it is non-physical; the latter clips mixed cells against the physical
+    boundary.  Levels above the field maximum give an empty mesh, which is
+    a valid result; a negative or non-finite level is rejected.
+    """
+    if not (np.isfinite(level) and level >= 0):
+        raise ValueError(f"level must be finite and >= 0, got {level}")
+    values = field.values
+    axis = field.axis
+    n = axis.size
+    below = ~(values > level)  # NaN compares false: non-physical is below
+
+    # Corner configuration of every cell, bit i for CORNER_OFFSETS[i]: the
+    # z pairs first (bits 0-3 at z, 4-7 at z + 1), then the four (x, y).
+    # It is computed in contiguous passes over the flat grid, at the flat
+    # index of the cell's lowest corner; the corners with no cell there (y
+    # or z last) are zeroed.  Bits are placed by multiplying: numpy's uint8
+    # products are vectorized, its shifts are not.
+    b = below.view(np.uint8).ravel()
+    z = b[1:] * 16
+    z |= b[:-1]
+    cfg = np.zeros(values.shape, dtype=np.uint8)
+    last = max(n**3 - n * n - n - 1, 0)  # one past the lowest corner of the last cell
+    head = cfg.reshape(-1)[:last]
+    np.multiply(z[n * n : n * n + last], 2, out=head)
+    head |= z[:last]
+    head |= z[n * n + n : n * n + n + last] * 4
+    head |= z[n : n + last] * 8
+    del z
+    cfg[:, n - 1 :] = 0
+    cfg[:, :, n - 1 :] = 0
+    corner = np.flatnonzero(cfg + np.uint8(1) > 1)  # configs 0 and 255 wrap to 1 and 0
+    if not len(corner):
+        empty = np.zeros((0, 3))
+        return IsoSurfaceMesh(vertices=empty, triangles=empty.astype(int), level=float(level), axis=axis)
+    configs = cfg.ravel()[corner]
+    del cfg
+
+    # Key every crossed edge, in cell order and then triangle order, by its
+    # axis and the flat grid index of its anchor corner: key = axis*n^3 + index.
+    strides = np.array([n * n, n, 1])
+    edge_key = EDGE_AXIS * n**3 + EDGE_OFFSET @ strides
+    rows = np.take(TRI_TABLE, configs, axis=0)  # 10x faster than fancy indexing here
+    keys = np.repeat(corner, TRI_COUNT[configs]) + edge_key[rows[rows >= 0]]
+    del configs, corner, rows
+
+    # The distinct keys are the grid edges whose ends differ in ``below``
+    # (each cell's table row uses exactly those of its edges), listed in key
+    # order by one flatnonzero over the axis-major mask, whose three planes
+    # are written contiguously; a slot table maps each key to its edge.  The
+    # grid-sized masks are freed first, so the table's 12 B per grid point
+    # and the per-key arrays set the peak memory.  (A binary search of
+    # ``edges`` needs no table but made extraction about 1.5x slower.)
+    cut = np.zeros((3, n, n, n), dtype=bool)
+    np.not_equal(below[1:], below[:-1], out=cut[0, :-1])
+    np.not_equal(below[:, 1:], below[:, :-1], out=cut[1, :, :-1])
+    np.not_equal(below[:, :, 1:], below[:, :, :-1], out=cut[2, :, :, :-1])
+    del b, below
+    edges = np.flatnonzero(cut)
+    del cut
+    slot = np.empty(3 * n**3, dtype=np.int32)
+    slot[edges] = np.arange(len(edges), dtype=np.int32)
+    ids = slot[keys]
+    del slot
+
+    # Vertices are numbered in order of first use: the edges at their
+    # first-use positions, in position order.
+    first = np.full(len(edges), len(keys))
+    np.minimum.at(first, ids, np.arange(len(keys)))
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[first] = True
+    order = ids[is_first]
+    rank = np.empty(len(edges), dtype=np.intp)
+    rank[order] = np.arange(len(edges))
+    tris = rank[ids].reshape(-1, 3)
+
+    # Interpolation values: non-physical corners act as strictly below level.
+    ax, flat = np.divmod(edges[order], n**3)
+    ends = values.ravel()[np.stack((flat, flat + strides[ax]))]
+    ends[np.isnan(ends)] = level - 1.0
+    v0, v1 = ends
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(v1 == v0, 0.5, np.minimum(np.maximum((level - v0) / (v1 - v0), 0.0), 1.0))
+    grid = np.stack(np.unravel_index(flat, values.shape), axis=1)
+    verts = axis[grid]
+    # The coordinate along each vertex's edge, by flat index into the rows.
+    along = 3 * np.arange(len(verts)) + ax
+    lo = verts.ravel()[along]
+    verts.ravel()[along] = lo + t * (axis[grid.ravel()[along] + 1] - lo)
+    return IsoSurfaceMesh(vertices=verts, triangles=tris, level=float(level), axis=axis)
+
+
 def reference_component_count(mesh: IsoSurfaceMesh) -> int:
     """The vertex-sharing union-find the label propagation replaced."""
     n = len(mesh.vertices)
@@ -294,10 +391,77 @@ def test_sort_free_numbering_matches_unique_oracle(seed):
         assert mesh.is_empty == (level == 1.5)
 
 
+def centre_ball(x, y, z):
+    return np.clip(0.5 - (x**2 + y**2 + z**2), 0.0, 1.0)
+
+
+def wells_apart(x, y, z):
+    return np.clip(0.5 - (np.minimum((x - 0.8) ** 2, (x + 0.8) ** 2) + y**2 + z**2), 0.0, 1.0)
+
+
+def all_nan(resolution):
+    return ScalarField3D(axis=np.linspace(-1.0, 1.0, resolution), values=np.full((resolution,) * 3, np.nan))
+
+
+# Each case is a field maker and its levels.  At 101^3 the default slabs
+# cover x in [-1, -0.5], [-0.5, 0], [0, 0.5] and [0.5, 1]: the ball of
+# radius 0.3 (level 0.41) leaves the first and the last slab empty, and the
+# wells of radius 0.14 at x = +-0.8 (level 0.48) leave the middle two empty.
+SLAB_CASES = {
+    "bd-a1": (lambda n: sample_bd_field("a1", n), (0.05, 0.2)),
+    "bd-sum": (lambda n: sample_bd_field("sum", n), (0.05, 0.2, 1.0)),
+    "centre-ball": (lambda n: synthetic_field(centre_ball, n), (0.41,)),
+    "wells-apart": (lambda n: synthetic_field(wells_apart, n), (0.48,)),
+    "all-nan": (all_nan, (0.1,)),
+    "above-maximum": (lambda n: sample_bd_field("a1", n), (1.0,)),
+}
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 4, 41, 101])
+@pytest.mark.parametrize("case", list(SLAB_CASES))
+def test_slab_extraction_matches_whole_grid(case, resolution, monkeypatch):
+    make_field, levels = SLAB_CASES[case]
+    field = make_field(resolution)
+    default = surfaces._EXTRACT_SLAB_POINTS
+    for level in levels:
+        whole = whole_grid_extract_isosurface(field, level)
+        if resolution >= 41:
+            assert whole.is_empty == (case in ("all-nan", "above-maximum"))
+        x = np.abs(whole.vertices[:, 0])
+        if case == "centre-ball":
+            assert (x < 0.5).all()
+        elif case == "wells-apart":
+            assert (x > 0.5).all()
+        # Slabs of 1, 2 and 3 cell rows, and the default.
+        for points in (resolution**2, 2 * resolution**2, 3 * resolution**2, default):
+            monkeypatch.setattr(surfaces, "_EXTRACT_SLAB_POINTS", points)
+            mesh = extract_isosurface(field, level)
+            assert mesh.vertices.tobytes() == whole.vertices.tobytes(), (level, points)
+            assert mesh.triangles.dtype == whole.triangles.dtype
+            assert np.array_equal(mesh.triangles, whole.triangles), (level, points)
+            assert mesh.axis is field.axis
+
+
+@pytest.mark.parametrize("resolution, budget_mib", [(101, 13), (201, 60)])
+def test_slab_extraction_peak_memory(resolution, budget_mib):
+    # Cutting the whole grid at once peaked at 20.3 MiB at 101^3 and at
+    # 123.3 MiB at 201^3, its 12 B per point slot table the largest part;
+    # slabs of about 2^18 grid points hold one slab's masks and slot table
+    # beside the mesh arrays, 11.4 and 34.8 MiB.
+    field = sample_bd_field("a1", resolution)
+    tracemalloc.start()
+    try:
+        extract_isosurface(field, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget_mib * 2**20
+
+
 def test_extraction_peak_memory():
     # The sorted numbering and full-grid float copies of the field peaked
-    # near 40 MB at 101^3; the sort-free numbering peaks near 21 MB, most
-    # of it the 12 MB int32 slot table.
+    # near 40 MB at 101^3; the sort-free numbering, cutting slabs of cell
+    # rows, peaks near 12 MB: the mesh arrays and one slab's slot table.
     for field, level in ((sample_bd_field("a1", 101), 0.05), (sample_bd_field("sum", 101), 0.2)):
         tracemalloc.start()
         try:

@@ -143,6 +143,21 @@ def test_chunked_suites_hold_one_chunk_of_states(name, monkeypatch):
     assert peak < 1_000_000
 
 
+def test_surfaces_suite_holds_one_field_at_a_time():
+    # Holding the a1 and summed 101^3 fields (7.9 MiB each) beside each
+    # channel field peaked at 37.8 MiB; one field at a time, the peak is
+    # the a1 field, its level-0.05 mesh and the level-0.2 extraction.
+    verify.suite_surfaces(np.random.default_rng(DEFAULT_SEED))  # first-call allocations are not per field
+    tracemalloc.start()
+    try:
+        result = verify.suite_surfaces(np.random.default_rng(DEFAULT_SEED))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 25 * 2**20
+
+
 def test_same_seed_same_report():
     r1 = format_report(run_suites(names=["closed-forms"], seed=99, samples=60))
     r2 = format_report(run_suites(names=["closed-forms"], seed=99, samples=60))
