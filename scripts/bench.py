@@ -25,8 +25,9 @@ median and quartiles, the pairs the change won, and two verdicts:
 It also records the seed, pair count, run length, the benchmark's
 ``correct`` flag of every run, the combined digest of the figure files and
 how many of them changed since the benchmark's seed (the ``# figure files``
-line of the figure workload), and the Python, NumPy and BLAS versions the
-benchmark reports.
+line of the figure workload), the Python, NumPy and BLAS versions the
+benchmark reports, and each side's ``src_lines``, the line count of its
+``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ def copy_tree(into: Path) -> Path:
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target)
     return into / "change"
+
+
+def src_lines(checkout: Path) -> int:
+    """The number of lines of ``checkout``'s ``src/**/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/**/*.py"))
 
 
 def run_once(checkout: Path, workload: str, seconds: float) -> dict:
@@ -136,6 +142,7 @@ def main() -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         sides = {"parent": export(args.parent, Path(tmp)), "change": copy_tree(Path(tmp))}
+        report["src_lines"] = {side: src_lines(checkout) for side, checkout in sides.items()}
         for workload in (w["name"] for w in declared["workloads"]):
             runs = {side: [] for side in sides}
             for pair in range(PAIRS):

@@ -55,22 +55,24 @@ OUTPUT_DIR_ENV = "SKEWCOH_OUT"
 # states and takes about 0.3 s in-process on one core, writing included.
 MAX_POINTS = 10_001
 
-BD_FIELDS = ("bd-a1", "bd-a2", "bd-a3", "bd-sum")
-XZ_FIELDS = ("xz-a1", "xz-sum")
-CHANNEL_FIELDS = tuple(f"channel:{k}" for k in CHANNEL_KINDS)
+# The per-state flags each coherence family takes.  Each is required there,
+# and any other one given is an error, not ignored.
+_STATE_FLAGS = {"bell": ("c",), "werner": ("p",), "isotropic": ("F",), "xz": ("r", "s", "c")}
+
+# Each `surface --field` name: the per-state flags it takes, by the rule of
+# _STATE_FLAGS, and its sampler of the parsed arguments.
+FIELDS = {
+    **{f"bd-{m}": ((), lambda a, m=m: sf.sample_bd_field(m, a.resolution)) for m in sf.BD_MEASURES},
+    **{f"xz-{m}": (("r", "s"), lambda a, m=m: sf.sample_xz_field(a.r, a.s, m, a.resolution)) for m in ("a1", "sum")},
+    **{f"channel:{k}": (("p",), lambda a, k=k: sf.sample_channel_field(k, a.p, a.resolution)) for k in CHANNEL_KINDS},
+}
 
 # The field of the last `surface` step, keyed by (field, r, s, p,
 # resolution).  Steps that cut one field at several levels (as the figure
 # script does) sample it once; the field is frozen, so sharing it is safe.
-# At most one field is held, about 220 MB at sf.MAX_RESOLUTION.
+# At most one field is held, about 220 MB at sf.MAX_RESOLUTION, and only
+# until a step of another command.
 _last_field: dict[tuple, sf.ScalarField3D] = {}
-
-# The per-state flags each coherence family and surface field takes.  Each
-# is required there, and any other one given is an error, not ignored.
-_STATE_FLAGS = {
-    "bell": ("c",), "werner": ("p",), "isotropic": ("F",), "xz": ("r", "s", "c"),
-    **dict.fromkeys(BD_FIELDS, ()), **dict.fromkeys(XZ_FIELDS, ("r", "s")), **dict.fromkeys(CHANNEL_FIELDS, ("p",)),
-}
 
 
 def _warn(message: str) -> None:
@@ -136,6 +138,8 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     _check_flags(args, _STATE_FLAGS[args.family], f"the {args.family} family")
+    if args.out is not None:
+        raise ValueError("--out applies only to --grid")
     if args.family == "bell":
         params = BellDiagonalParams(*args.c)
         rho, closed = bell_diagonal(params), bd_coherence(params, args.basis)
@@ -183,21 +187,13 @@ def cmd_coherence(args: argparse.Namespace) -> int:
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
-    field_name = args.field
-    if field_name not in BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS:
-        raise ValueError(f"unknown field {field_name!r}; expected one of {BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS}")
-    _check_flags(args, _STATE_FLAGS[field_name], f"field {field_name}")
-    key = (field_name, args.r, args.s, args.p, args.resolution)
+    takes, sample = FIELDS[args.field]
+    _check_flags(args, takes, f"field {args.field}")
+    key = (args.field, args.r, args.s, args.p, args.resolution)
     field = _last_field.get(key)
     if field is None:
         _last_field.clear()  # before sampling: a miss never holds two fields
-        if field_name in BD_FIELDS:
-            field = sf.sample_bd_field(field_name.removeprefix("bd-"), args.resolution)
-        elif field_name in XZ_FIELDS:
-            field = sf.sample_xz_field(args.r, args.s, field_name.removeprefix("xz-"), args.resolution)
-        else:
-            field = sf.sample_channel_field(field_name.removeprefix("channel:"), args.p, args.resolution)
-        _last_field[key] = field
+        field = _last_field[key] = sample(args)
 
     mesh = sf.extract_isosurface(field, args.level)
     # A mesh is empty only when every grid point lies on one side of the level,
@@ -267,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_coherence)
 
     ps = sub.add_parser("surface", allow_abbrev=False, help="export a constant-coherence mesh")
-    ps.add_argument("--field", required=True, help=f"one of {BD_FIELDS + XZ_FIELDS + CHANNEL_FIELDS}")
+    ps.add_argument("--field", choices=tuple(FIELDS), required=True)
     ps.add_argument("--level", type=_float, required=True)
     ps.add_argument("--p", type=_float, help="channel parameter for channel fields")
     ps.add_argument("--r", type=_float, help="first local z component for xz fields")
@@ -354,6 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(argv, parser))
+        if args.func is not cmd_surface:
+            _last_field.clear()
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -16,10 +16,11 @@ isotropic slices, and the z-polarized X states.  Both families share one
 array core that roots their four margins under ``sqrt_psd``'s noise rule
 and marks points outside the physical region as NaN; the grid entry
 points call it on arrays, and the scalar entry points make a 0-d call of
-it on validated parameters.  A term that splits over the two margin
-pairs also gives the field samplers its parts once per distinct pair
-value, with the core's bits.  The closed forms are certified against the
-numeric definition at every point of whole grids, not trusted.
+it on validated parameters.  The field samplers fill whole grids through
+``_grid_values``, which evaluates a term that splits over the two margin
+pairs once per distinct pair value, with the core's bits.  The closed
+forms are certified against the numeric definition at every point of
+whole grids, not trusted.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def coherence_bound(dim: int) -> float:
 # B, (1 + c3) +- g(c1 - c2).  Where a term takes one pair's roots apart
 # from the other's it is a _SplitTerm, and a field over a grid whose c1 and
 # c2 axes are the same evaluates each pair once per distinct (c1 +- c2, c3)
-# (:func:`_pair_tables`).
+# (:func:`_grid_values`).
 
 
 class _SplitTerm(NamedTuple):
@@ -175,28 +176,56 @@ def _closed_values(m, term):
     return np.where(physical, np.maximum(values, 0.0), np.nan)
 
 
-def _pair_tables(margins, term: _SplitTerm, x, y, z):
-    """``term``'s parts over the grid x (c1) by y (c2) by z (c3), once per
-    distinct (c1 + c2, c3) for pair A and per distinct (c1 - c2, c3) for
-    pair B.  Returns, for A and then B, the part (a tuple of them for B),
-    as tables of distinct value by c3 with NaN where the pair is
-    unphysical; the (c1, c2) -> row map; and the mask of the entries that
-    the noise rule leaves ambiguous.
+_SLAB_ROWS = 8  # c1 rows per kernel call or table gather in _grid_values
 
-    Each distinct value is keyed by its bits and evaluated at its first
-    (c1, c2), so ``margins`` gives each table entry the bits it gives the
-    grid points that use it.  Grid points that use an ambiguous entry need
-    the per-point kernel."""
-    pairs = []
+
+def _grid_values(kernel, split, x, y, z) -> np.ndarray:
+    """``kernel(c1, c2, c3)`` over the grid x (c1) by y (c2) by z (c3),
+    filled a slab of c1 rows at a time: no full-grid temporaries whose
+    placement by the allocator would decide the peak memory.
+
+    ``split`` is the kernel's ``(margins, term)``.  Where the term is a
+    _SplitTerm and x and y are the same axis, each pair's part is tabulated
+    once per distinct (c1 + c2, c3) for pair A and per distinct (c1 - c2,
+    c3) for pair B, and each slab gathers the parts and combines them in
+    place.  Each distinct value is keyed by its bits and evaluated at its
+    first (c1, c2), so ``margins`` gives each table entry the bits it gives
+    the grid points that use it; the points that use an entry the noise
+    rule leaves ambiguous go through ``kernel``.  Either route gives the
+    kernel's values bit for bit."""
+    values = np.empty((len(x), len(y), len(z)))
+    margins, term = split
+    if not (isinstance(term, _SplitTerm) and np.array_equal(x.view(np.int64), y.view(np.int64))):
+        # Sparse (rows,1,1), (n,1), (n,) coordinates: no full coordinate grid.
+        for i in range(0, len(x), _SLAB_ROWS):
+            values[i : i + _SLAB_ROWS] = kernel(x[i : i + _SLAB_ROWS, None, None], y[:, None], z)
+        return values
+    tables = []
     for outer, pair in ((np.add.outer, slice(0, 2)), (np.subtract.outer, slice(2, 4))):
         _, first, inverse = np.unique(outer(x, y).view(np.int64), return_index=True, return_inverse=True)
         i, j = np.divmod(first, len(y))
         m = np.array(margins(x[i, None], y[j, None], z)[pair])
-        pairs.append((m, m.max(axis=0), inverse.reshape(len(x), len(y))))
-    (m_a, top_a, index_a), (m_b, top_b, index_b) = pairs
+        tables.append((m, m.max(axis=0), inverse.reshape(len(x), len(y))))
+    (m_a, top_a, index_a), (m_b, top_b, index_b) = tables
     part_a, ambiguous_a = _pair_part(m_a, top_a, top_b, term.pair_a)
     parts_b, ambiguous_b = _pair_part(m_b, top_b, top_a, term.pair_b)
-    return (part_a, index_a, ambiguous_a), (parts_b, index_b, ambiguous_b)
+    gathered = [np.empty((_SLAB_ROWS, len(y), len(z))) for _ in parts_b]
+    for i in range(0, len(x), _SLAB_ROWS):
+        slab = values[i : i + _SLAB_ROWS]
+        rows = slice(i, i + len(slab))
+        # mode="clip" lets take write straight into ``out``, unbuffered.
+        np.take(part_a, index_a[rows], axis=0, out=slab, mode="clip")
+        b = [np.take(t, index_b[rows], axis=0, out=g[: len(slab)], mode="clip") for t, g in zip(parts_b, gathered)]
+        term.combine(slab, *b)
+        np.maximum(slab, 0.0, out=slab)
+    del gathered
+    # The (c1, c2) that use an ambiguous entry at some c3, then those c3.
+    i, j = np.nonzero(ambiguous_a.any(axis=1)[index_a] | ambiguous_b.any(axis=1)[index_b])
+    point, k = np.nonzero(ambiguous_a[index_a[i, j]] | ambiguous_b[index_b[i, j]])
+    if len(point):
+        i, j = i[point], j[point]
+        values[i, j, k] = kernel(x[i], y[j], z[k])
+    return values
 
 
 def _pair_part(m, top, other, part):

@@ -21,8 +21,7 @@ from ._mc_tables import EDGE_AXIS, EDGE_OFFSET, TRI_COUNT, TRI_TABLE
 from .channels import predicted_coefficient_grid
 from .coherence import (
     _bd_field,
-    _pair_tables,
-    _SplitTerm,
+    _grid_values,
     _xz_field,
     bd_coherence_values,
     xz_coherence_values,
@@ -142,51 +141,16 @@ def _tag(x: float) -> str:
     return repr(float(x)).removesuffix(".0")
 
 
-_SLAB_ROWS = 8  # c1 rows per kernel call or table gather in _sample
-
-
 def _sample(kernel, resolution: int, split, coefficient_map=None) -> tuple[np.ndarray, np.ndarray]:
     """The grid axis and ``kernel(c1, c2, c3)`` on it, where (c1, c2, c3)
     are the grid coordinates after ``coefficient_map`` (of the 1-d axis;
-    default the identity), filled a slab of c1 rows at a time: no 8 MB
-    temporaries at 101^3 whose placement by the allocator would decide the
-    peak memory.
-
-    ``split`` is the kernel's ``(margins, term)``.  Where the term is a
-    split term and the mapped c1 and c2 axes are the same, the kernel is
-    evaluated through :func:`coherence._pair_tables` instead: each slab
-    gathers the parts and combines them in place, and the points that use
-    an entry the noise rule leaves ambiguous go through ``kernel``.
-    Either route gives the kernel's values bit for bit."""
+    default the identity), filled by :func:`coherence._grid_values` from
+    the kernel's ``split``, its ``(margins, term)``."""
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
     x, y, z = (axis,) * 3 if coefficient_map is None else coefficient_map(axis)
-    values = np.empty((resolution,) * 3)
-    margins, term = split
-    if not (isinstance(term, _SplitTerm) and np.array_equal(x.view(np.int64), y.view(np.int64))):
-        # Sparse (rows,1,1), (n,1), (n,) coordinates: no full coordinate grid.
-        for i in range(0, resolution, _SLAB_ROWS):
-            values[i : i + _SLAB_ROWS] = kernel(x[i : i + _SLAB_ROWS, None, None], y[:, None], z)
-        return axis, values
-    (part_a, index_a, ambiguous_a), (parts_b, index_b, ambiguous_b) = _pair_tables(margins, term, x, y, z)
-    gathered = [np.empty((_SLAB_ROWS, resolution, resolution)) for _ in parts_b]
-    for i in range(0, resolution, _SLAB_ROWS):
-        slab = values[i : i + _SLAB_ROWS]
-        rows = slice(i, i + len(slab))
-        # mode="clip" lets take write straight into ``out``, unbuffered.
-        np.take(part_a, index_a[rows], axis=0, out=slab, mode="clip")
-        b = [np.take(t, index_b[rows], axis=0, out=g[: len(slab)], mode="clip") for t, g in zip(parts_b, gathered)]
-        term.combine(slab, *b)
-        np.maximum(slab, 0.0, out=slab)
-    del gathered
-    # The (c1, c2) that use an ambiguous entry at some c3, then those c3.
-    i, j = np.nonzero(ambiguous_a.any(axis=1)[index_a] | ambiguous_b.any(axis=1)[index_b])
-    point, k = np.nonzero(ambiguous_a[index_a[i, j]] | ambiguous_b[index_b[i, j]])
-    if len(point):
-        i, j = i[point], j[point]
-        values[i, j, k] = kernel(x[i], y[j], z[k])
-    return axis, values
+    return axis, _grid_values(kernel, split, x, y, z)
 
 
 def sample_bd_field(measure: str = "a1", resolution: int = 101) -> ScalarField3D:

@@ -128,6 +128,16 @@ class TestCoherenceCommand:
         assert extra[0] in err
         assert not any(tmp_path.iterdir())
 
+    def test_out_without_grid_exits_2(self, capsys, tmp_path):
+        # a single state writes nothing to --out, so the flag would be ignored
+        code, out, err = run(
+            capsys, "coherence", "--family", "bell", "--c=0.1,0.2,0.3", "--out", str(tmp_path / "out")
+        )
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert "--out applies only to --grid" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_parameter_exits_2(self, capsys):
         code, _, err = run(capsys, "coherence", "--family", "werner")
         assert code == cli.EXIT_BAD_ARGS
@@ -406,6 +416,36 @@ class TestSurfaceFieldStore:
         assert len(sampled) == 1
         name = "surface_xz-a1_r0_s0_level0.obj"
         assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "pos" / name).read_bytes()
+
+
+SURFACE_FLAG_VALUES = {"p": "0.05", "r": "0.1", "s": "0.1"}
+
+
+@pytest.mark.parametrize("name", list(cli.FIELDS))
+def test_each_field_takes_exactly_its_flags(capsys, tmp_path, name):
+    takes, _ = cli.FIELDS[name]
+    base = ("surface", "--field", name, "--level", "0.05", "--resolution", "5", "--out", str(tmp_path))
+    given = {flag: SURFACE_FLAG_VALUES[flag] for flag in takes}
+    code, out, err = run(capsys, *base, *(f"--{flag}={value}" for flag, value in given.items()))
+    assert code == 0, err
+    assert Path(out.strip()).parent == tmp_path and Path(out.strip()).is_file()
+    for flag, value in SURFACE_FLAG_VALUES.items():
+        # one flag added where it is not taken, or dropped where it is
+        argv = {**given, flag: value} if flag not in takes else {f: v for f, v in given.items() if f != flag}
+        code, out, err = run(capsys, *base, *(f"--{f}={v}" for f, v in argv.items()))
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert f"--{flag} {'is required for' if flag in takes else 'does not apply to'} field {name}" in err
+
+
+def test_another_command_releases_the_stored_field(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_last_field", {})
+    args = ("--level", "0.05", "--resolution", "11", "--out", str(tmp_path))
+    assert run(capsys, "surface", "--field", "bd-a1", *args)[0] == 0
+    stored = weakref.ref(*cli._last_field.values())
+    assert run(capsys, "dynamics", "--c=-0.2,0.6,0.6", "--points", "3", "--out", str(tmp_path))[0] == 0
+    assert stored() is None
+    assert cli._last_field == {}
 
 
 class TestDynamicsCommand:

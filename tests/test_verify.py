@@ -158,6 +158,21 @@ def test_surfaces_suite_holds_one_field_at_a_time():
     assert peak < 25 * 2**20
 
 
+def test_one_sample_draws_what_each_check_names(monkeypatch):
+    drawn = []
+
+    def counted(rng, n, real=random_bell_params):
+        drawn.append(n)
+        return real(rng, n)
+
+    monkeypatch.setattr(verify, "random_bell_params", counted)
+    linalg, bases = run_suites(names=["linalg", "bases"], seed=3, samples=1)
+    # the change-of-basis checks draw a state, then the round trip one more
+    assert drawn == [1, 1]
+    assert linalg.checks[0].name == "eig reconstruction over 1 Hermitian (dim 2)"
+    assert run_suites(names=["linalg"], seed=3, samples=2)[0].checks[0].name.endswith("(dims 2, 4)")
+
+
 def test_same_seed_same_report():
     r1 = format_report(run_suites(names=["closed-forms"], seed=99, samples=60))
     r2 = format_report(run_suites(names=["closed-forms"], seed=99, samples=60))
@@ -171,7 +186,9 @@ def test_same_seed_same_report():
 # cptp.  The four stdout digests of runs that include closed-forms or
 # xz-states were re-recorded when those suites gained their whole-grid
 # checks: the reports differ from the earlier ones by those six added
-# lines only.
+# lines only.  The one-sample digest was re-recorded when linalg came to
+# name the one dimension it draws there and bases to draw a state for its
+# two change-of-basis checks: three lines differ.
 REPORT_HASHES = json.loads(Path(__file__).with_name("verify_report_hashes.json").read_text())
 
 
