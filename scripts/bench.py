@@ -28,6 +28,11 @@ how many of them changed since the benchmark's seed (the ``# figure files``
 line of the figure workload), the Python, NumPy and BLAS versions the
 benchmark reports, and each side's ``src_lines``, the line count of its
 ``src/**/*.py``.
+
+After writing the file, the script names on standard error each workload
+and side that had a run whose ``correct`` flag is false, and then exits 1:
+``benchmark/run.py`` exits 0 for an incorrect run.  Where the two sides'
+figure digests differ, it prints a note; that alone is not a failure.
 """
 
 from __future__ import annotations
@@ -170,7 +175,14 @@ def main() -> int:
                 },
             }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    return 0
+    figure = report["workloads"].get("figure", {}).get("figure_files", {})
+    digests = {side: sorted(f["digest"] for f in readings) for side, readings in figure.items()}
+    if len({tuple(d) for d in digests.values()}) > 1:
+        print(f"note: the figure digests differ between the sides: {digests}", file=sys.stderr)
+    incorrect = [(w, side) for w, entry in report["workloads"].items() for side, ok in entry["correct"].items() if not ok]
+    for workload, side in incorrect:
+        print(f"incorrect run: workload {workload}, {side} side", file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":

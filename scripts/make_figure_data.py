@@ -5,7 +5,10 @@ Writes, under the output directory:
   - level-set meshes of the Bell-diagonal coherence field in basis a1 and
     of the three-basis sum at levels 0.05, 0.2 and 1.0; the a1 mesh at 1.0
     is empty, which documents the a1 cap of 1/2, while the sum, capped at
-    3/2, still has a level-1.0 mesh;
+    3/2, still has a level-1.0 mesh.  That level is critical: the sum is
+    exactly 1 at the six tetrahedron edge midpoints, where the four vertex
+    caps touch, but the closed form rounds those points to one ulp below 1,
+    so the mesh shows four separate caps at every resolution;
   - Werner and isotropic coherence curves on 101-point grids;
   - z-polarized X-state meshes for r = s in {0.1, 0.3} at levels 0.1, 0.5;
   - channel-output coherence meshes for BF/PF/BPF/GAD at

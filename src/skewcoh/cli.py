@@ -197,9 +197,9 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
     mesh = sf.extract_isosurface(field, args.level)
     # A mesh is empty only when every grid point lies on one side of the level,
-    # NaN counting as below: the maximum, scanned only then, tells which side.
+    # NaN counting as below: the field's maximum tells which side.
     if mesh.is_empty:
-        top = np.fmax.reduce(field.values, axis=None, initial=np.nan)
+        top = field.maximum
         if np.isnan(top):
             _warn("the field has an empty physical region; the mesh is empty")
         else:

@@ -16,11 +16,11 @@ isotropic slices, and the z-polarized X states.  Both families share one
 array core that roots their four margins under ``sqrt_psd``'s noise rule
 and marks points outside the physical region as NaN; the grid entry
 points call it on arrays, and the scalar entry points make a 0-d call of
-it on validated parameters.  The field samplers fill whole grids through
-``_grid_values``, which evaluates a term that splits over the two margin
-pairs once per distinct pair value, with the core's bits.  The closed
-forms are certified against the numeric definition at every point of
-whole grids, not trusted.
+it on validated parameters.  Coordinates in ``np.ix_`` form are a grid,
+the array entry points' third case: ``_grid_values`` fills it, evaluating
+a term that splits over the two margin pairs once per distinct pair
+value, with the core's bits.  The closed forms are certified against the
+numeric definition at every point of whole grids, not trusted.
 """
 
 from __future__ import annotations
@@ -176,29 +176,36 @@ def _closed_values(m, term):
     return np.where(physical, np.maximum(values, 0.0), np.nan)
 
 
-_SLAB_ROWS = 8  # c1 rows per kernel call or table gather in _grid_values
+def _field_values(margins, term, c1, c2, c3):
+    """``term`` over ``margins(c1, c2, c3)``: a grid for axes in ``np.ix_``
+    form (a sparse ij ``np.meshgrid`` too), elementwise for other input."""
+    c1, c2, c3 = (np.asarray(c, dtype=float) for c in (c1, c2, c3))
+    if (c1.shape, c2.shape, c3.shape) == ((c1.size, 1, 1), (1, c2.size, 1), (1, 1, c3.size)):
+        return _grid_values(margins, term, c1.ravel(), c2.ravel(), c3.ravel())
+    return _closed_values(margins(c1, c2, c3), term)
 
 
-def _grid_values(kernel, split, x, y, z) -> np.ndarray:
-    """``kernel(c1, c2, c3)`` over the grid x (c1) by y (c2) by z (c3),
+_SLAB_ROWS = 8  # c1 rows per core call or table gather in _grid_values
+
+
+def _grid_values(margins, term, x, y, z) -> np.ndarray:
+    """``term`` over ``margins`` on the grid x (c1) by y (c2) by z (c3),
     filled a slab of c1 rows at a time: no full-grid temporaries whose
     placement by the allocator would decide the peak memory.
 
-    ``split`` is the kernel's ``(margins, term)``.  Where the term is a
-    _SplitTerm and x and y are the same axis, each pair's part is tabulated
-    once per distinct (c1 + c2, c3) for pair A and per distinct (c1 - c2,
-    c3) for pair B, and each slab gathers the parts and combines them in
-    place.  Each distinct value is keyed by its bits and evaluated at its
-    first (c1, c2), so ``margins`` gives each table entry the bits it gives
-    the grid points that use it; the points that use an entry the noise
-    rule leaves ambiguous go through ``kernel``.  Either route gives the
-    kernel's values bit for bit."""
+    Where the term is a _SplitTerm and x and y are the same axis, each
+    pair's part is tabulated once per distinct (c1 + c2, c3) for pair A and
+    per distinct (c1 - c2, c3) for pair B, and each slab gathers the parts
+    and combines them in place.  Each distinct value is keyed by its bits
+    and evaluated at its first (c1, c2), so ``margins`` gives each table
+    entry the bits it gives the grid points that use it; the points that
+    use an entry the noise rule leaves ambiguous, and every slab otherwise,
+    go through :func:`_closed_values`, so both routes give its bits."""
     values = np.empty((len(x), len(y), len(z)))
-    margins, term = split
     if not (isinstance(term, _SplitTerm) and np.array_equal(x.view(np.int64), y.view(np.int64))):
         # Sparse (rows,1,1), (n,1), (n,) coordinates: no full coordinate grid.
         for i in range(0, len(x), _SLAB_ROWS):
-            values[i : i + _SLAB_ROWS] = kernel(x[i : i + _SLAB_ROWS, None, None], y[:, None], z)
+            values[i : i + _SLAB_ROWS] = _closed_values(margins(x[i : i + _SLAB_ROWS, None, None], y[:, None], z), term)
         return values
     tables = []
     for outer, pair in ((np.add.outer, slice(0, 2)), (np.subtract.outer, slice(2, 4))):
@@ -224,7 +231,7 @@ def _grid_values(kernel, split, x, y, z) -> np.ndarray:
     point, k = np.nonzero(ambiguous_a[index_a[i, j]] | ambiguous_b[index_b[i, j]])
     if len(point):
         i, j = i[point], j[point]
-        values[i, j, k] = kernel(x[i], y[j], z[k])
+        values[i, j, k] = _closed_values(margins(x[i], y[j], z[k]), term)
     return values
 
 
@@ -241,7 +248,7 @@ def _pair_part(m, top, other, part):
     kept wherever it is used; one between is ambiguous."""
     physical = (m[0] >= -TETRA_TOL) & (m[1] >= -TETRA_TOL)
     own = _noise_bound(top, 4)
-    ambiguous = ((m > own) & (m <= _noise_bound(np.maximum(top, other.max(axis=0)), 4))).any(axis=0)
+    ambiguous = ((m > own) & (m <= _noise_bound(np.maximum(top, other.max(axis=0, initial=-np.inf)), 4))).any(axis=0)
     np.copyto(m, 0.0, where=m <= own)
     q = np.sqrt(m, out=m)
     values = part(q[0], q[1])
@@ -272,9 +279,11 @@ def bd_coherence_values(c1, c2, c3, label: str):
     ('sum', in its trace-root form, equal to the sum of the three to
     rounding).  Points outside the physical tetrahedron (margins below
     -1e-12) evaluate to NaN; scalar users should prefer
-    :func:`bd_coherence`, which validates its parameters instead.
+    :func:`bd_coherence`, which validates its parameters instead.  Inputs
+    in ``np.ix_`` form, (n, 1, 1), (1, m, 1), (1, 1, k) as a sparse ij
+    ``np.meshgrid`` too, fill the (n, m, k) grid with the elementwise bits.
     """
-    return _bd_values(np.asarray(c1, dtype=float), np.asarray(c2, dtype=float), np.asarray(c3, dtype=float), label)
+    return _field_values(*_bd_field(label), c1, c2, c3)
 
 
 def bd_coherence(params: BellDiagonalParams, label: str) -> float:
@@ -363,25 +372,19 @@ def xz_coherence_sum(params: XStateZParams) -> float:
     return float(_xz_values(params.r, params.s, params.c1, params.c2, params.c3, "sum"))
 
 
-def _xz_field(r: float, s: float, measure: str):
-    """The margins function over (c1, c2, c3) and the term of the X-state
-    closed form at fixed (r, s), in a1 or summed ('sum'); both checked."""
-    if measure not in ("a1", "sum"):
-        raise ValueError(f"unknown measure {measure!r}; expected 'a1' or 'sum'")
-    if not (np.isfinite(r) and np.isfinite(s)):
-        raise ValueError(f"r and s must be finite, got r={r} s={s}")
-    return functools.partial(_xz_margins, r, s), _xz_term(r, s, measure)
-
-
 def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
     """Vectorized coherence of z-polarized X states over coefficient grids.
 
     ``measure`` is 'a1' or 'sum' (in its trace-root form).  r and s are
-    fixed finite scalars; c1, c2, c3 broadcast.  Unphysical points (block
+    fixed finite scalars; c1, c2, c3 broadcast, or give a grid in ``np.ix_``
+    form (a sparse ij ``np.meshgrid`` too).  Unphysical points (block
     margins below -1e-12) evaluate to NaN.
     """
-    margins, term = _xz_field(r, s, measure)
-    return _closed_values(margins(*(np.asarray(c, dtype=float) for c in (c1, c2, c3))), term)
+    if measure not in ("a1", "sum"):
+        raise ValueError(f"unknown measure {measure!r}; expected 'a1' or 'sum'")
+    if not (np.isfinite(r) and np.isfinite(s)):
+        raise ValueError(f"r and s must be finite, got r={r} s={s}")
+    return _field_values(functools.partial(_xz_margins, r, s), _xz_term(r, s, measure), c1, c2, c3)
 
 
 # -- closed-form candidates kept for auditing ----------------------------------

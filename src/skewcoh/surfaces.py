@@ -12,20 +12,14 @@ the boundary of the physical region.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ._mc_tables import EDGE_AXIS, EDGE_OFFSET, TRI_COUNT, TRI_TABLE
 from .channels import predicted_coefficient_grid
-from .coherence import (
-    _bd_field,
-    _grid_values,
-    _xz_field,
-    bd_coherence_values,
-    xz_coherence_values,
-)
+from .coherence import bd_coherence_values, xz_coherence_values
 
 BD_MEASURES = ("a1", "a2", "a3", "sum")
 # Single-basis fields are capped at 1/2, summed fields at 3/2.
@@ -50,11 +44,13 @@ def _require_increasing(xs: np.ndarray, what: str) -> None:
 @dataclass(frozen=True)
 class ScalarField3D:
     """Values sampled on a cubic grid; NaN marks non-physical points.
-    ``name`` is the file stem it is written under, e.g. ``xz-a1_r0.1_s0.1``."""
+    ``name`` is the file stem it is written under, e.g. ``xz-a1_r0.1_s0.1``;
+    ``maximum`` is the largest physical value, NaN when no point is physical."""
 
     axis: np.ndarray
     values: np.ndarray
     name: str = "field"
+    maximum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         axis = np.asarray(self.axis, dtype=float)
@@ -74,6 +70,7 @@ class ScalarField3D:
         values.flags.writeable = False
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "maximum", float(hi))
 
     def physical_fraction(self) -> float:
         return float(np.isfinite(self.values).mean())
@@ -141,16 +138,13 @@ def _tag(x: float) -> str:
     return repr(float(x)).removesuffix(".0")
 
 
-def _sample(kernel, resolution: int, split, coefficient_map=None) -> tuple[np.ndarray, np.ndarray]:
-    """The grid axis and ``kernel(c1, c2, c3)`` on it, where (c1, c2, c3)
-    are the grid coordinates after ``coefficient_map`` (of the 1-d axis;
-    default the identity), filled by :func:`coherence._grid_values` from
-    the kernel's ``split``, its ``(margins, term)``."""
+def _grid(resolution: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The grid axis and its coordinates (c1, c2, c3) in ``np.ix_`` form,
+    which the closed-form kernels fill as a grid."""
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
-    x, y, z = (axis,) * 3 if coefficient_map is None else coefficient_map(axis)
-    return axis, _grid_values(kernel, split, x, y, z)
+    return axis, np.ix_(axis, axis, axis)
 
 
 def sample_bd_field(measure: str = "a1", resolution: int = 101) -> ScalarField3D:
@@ -161,8 +155,8 @@ def sample_bd_field(measure: str = "a1", resolution: int = 101) -> ScalarField3D
     """
     if measure not in BD_MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {BD_MEASURES}")
-    axis, values = _sample(lambda *c: bd_coherence_values(*c, measure), resolution, _bd_field(measure))
-    return ScalarField3D(axis=axis, values=values, name=f"bd-{measure}")
+    axis, c = _grid(resolution)
+    return ScalarField3D(axis=axis, values=bd_coherence_values(*c, measure), name=f"bd-{measure}")
 
 
 def sample_xz_field(r: float, s: float, measure: str = "a1", resolution: int = 101) -> ScalarField3D:
@@ -171,8 +165,8 @@ def sample_xz_field(r: float, s: float, measure: str = "a1", resolution: int = 1
     ``measure`` is 'a1' or 'sum'.  The physical region shrinks as |r|, |s|
     grow; non-physical points carry NaN.
     """
-    split = _xz_field(r, s, measure)
-    axis, values = _sample(lambda *c: xz_coherence_values(r, s, *c, measure), resolution, split)
+    axis, c = _grid(resolution)
+    values = xz_coherence_values(r, s, *c, measure)
     return ScalarField3D(axis=axis, values=values, name=f"xz-{measure}_r{_tag(r)}_s{_tag(s)}")
 
 
@@ -186,12 +180,8 @@ def sample_channel_field(kind: str, p: float, resolution: int = 101) -> ScalarFi
     of the map into the closed form), and reduces to the plain field at
     p = 0.
     """
-    axis, values = _sample(
-        lambda *c: bd_coherence_values(*c, "a1"),
-        resolution,
-        _bd_field("a1"),
-        lambda axis: predicted_coefficient_grid(kind, axis, axis, axis, p),
-    )
+    axis, c = _grid(resolution)
+    values = bd_coherence_values(*predicted_coefficient_grid(kind, *c, p), "a1")
     return ScalarField3D(axis=axis, values=values, name=f"channel-{kind}_p{_tag(p)}")
 
 

@@ -1,9 +1,13 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from skewcoh.bases import OrthonormalBasis, amub_basis
+from skewcoh.bases import AMUB_LABELS, OrthonormalBasis, amub_basis
+from skewcoh.channels import predicted_coefficients
 from skewcoh.coherence import (
     _bd_values,
     _xz_values,
@@ -26,6 +30,7 @@ from skewcoh.coherence import (
 )
 from skewcoh.states import (
     BellDiagonalParams,
+    _bd_matrix,
     DensityMatrix,
     XStateZParams,
     bell_diagonal,
@@ -202,6 +207,24 @@ class TestBellDiagonalClosedForms:
     def test_grid_marks_unphysical(self):
         assert np.isnan(bd_coherence_values(1.0, 1.0, 1.0, "a1"))
 
+    def test_sum_level_one_is_critical(self):
+        # On the edge from one Bell vertex to another two margins are 4(1 - t)
+        # and 4t, so C_sum = 3/2 - sqrt(t (1 - t)): exactly 1 at the six edge
+        # midpoints, where {C_sum >= 1} pinches.  Today's closed form rounds
+        # them to one ulp below 1, so the level-1.0 mesh shows four separate
+        # caps; the exact value pinned below describes that rounding.
+        vertices = np.array([(-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)], dtype=float)
+        t = np.linspace(0.0, 1.0, 1001)[:, None]
+        exact = 1.5 - np.sqrt(t * (1.0 - t))[:, 0]
+        for a, b in itertools.combinations(vertices, 2):
+            c = (1.0 - t) * a + t * b
+            assert np.abs(bd_coherence_values(*c.T, "sum") - exact).max() <= 1e-15
+            rho = DensityMatrix(_bd_matrix(*c.T[..., None, None]))
+            numeric = sum(coherence(rho, amub_basis(label)) for label in AMUB_LABELS)
+            assert np.abs(numeric - exact).max() <= 1e-14
+        midpoints = np.concatenate([np.eye(3), -np.eye(3)])
+        assert (bd_coherence_values(*midpoints.T, "sum") == 0.9999999999999998).all()
+
 
 class TestWernerIsotropic:
     def test_werner_endpoints(self):
@@ -367,3 +390,22 @@ class TestComparisonMeasures:
     def test_basis_argument(self):
         rho = werner(0.0)
         assert l1_coherence(rho, OrthonormalBasis(np.eye(4))) == l1_coherence(rho)
+
+
+def test_scalar_entry_points_skip_the_field_kernels(monkeypatch):
+    # The traced numeric benchmark pins coherence.field.points at 0: the
+    # scalar closed forms call the private cores, never the public kernels.
+    def refuse(*args):
+        raise AssertionError("a scalar entry point called a field kernel")
+
+    for name, module in list(sys.modules.items()):
+        if name == "skewcoh" or name.startswith("skewcoh."):
+            for kernel in ("bd_coherence_values", "xz_coherence_values"):
+                if hasattr(module, kernel):
+                    monkeypatch.setattr(module, kernel, refuse)
+    params = BellDiagonalParams(-0.2, 0.6, 0.6)
+    assert bd_coherence(params, "a1") > 0.0
+    assert bd_coherence_sum(params) > 0.0
+    assert xz_coherence_a1(XStateZParams(0.1, 0.1, -0.2, 0.6, 0.3)) > 0.0
+    assert xz_coherence_sum(XStateZParams(0.1, 0.1, -0.2, 0.6, 0.3)) > 0.0
+    assert predicted_coefficients("GAD", params, 0.3).c1 != params.c1

@@ -1,12 +1,14 @@
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from skewcoh import cli, surfaces
-from skewcoh.channels import predicted_coefficient_grid
+from skewcoh import cli
+from skewcoh.channels import CHANNEL_KINDS, predicted_coefficient_grid
 from skewcoh.coherence import bd_coherence_values, isotropic_coherence, werner_coherence, xz_coherence_values
 from skewcoh.surfaces import (
+    BD_MEASURES,
     MAX_RESOLUTION,
     Curve1D,
     IsoSurfaceMesh,
@@ -47,6 +49,7 @@ class TestFieldSampling:
 
     def test_single_basis_cap(self, bd_a1):
         assert np.nanmax(bd_a1.values) <= 0.5 + 1e-12
+        assert bd_a1.maximum == np.nanmax(bd_a1.values)
 
     def test_sum_field_cap(self):
         field = sample_bd_field("sum", RES)
@@ -82,9 +85,10 @@ class TestFieldSampling:
 
 
     def test_slabs_equal_whole_grid_kernels(self):
-        # 21 c1 rows: two full slabs and a partial one
+        # 21 c1 rows: two full slabs and a partial one; dense coordinates
+        # take the elementwise route, the reference the slabs must match
         axis = np.linspace(-1.0, 1.0, 21)
-        c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+        c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij")
         cases = [
             (sample_bd_field("a2", 21), bd_coherence_values(c1, c2, c3, "a2")),
             (sample_bd_field("sum", 21), bd_coherence_values(c1, c2, c3, "sum")),
@@ -115,27 +119,28 @@ class TestFieldSampling:
 
 def per_point(kernel, resolution):
     """``kernel`` over the whole grid, a few c1 rows per call: the per-point
-    kernel's values without its whole-grid temporaries."""
+    kernel's values without its whole-grid temporaries.  The chunks are
+    dense (broadcast) coordinates, so they take the elementwise route, not
+    the grid route that ``np.ix_``-form input such as a sparse meshgrid takes."""
     axis = np.linspace(-1.0, 1.0, resolution)
     c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
-    return np.concatenate([kernel(c1[i : i + 16], c2, c3) for i in range(0, resolution, 16)])
+    return np.concatenate([kernel(*np.broadcast_arrays(c1[i : i + 16], c2, c3)) for i in range(0, resolution, 16)])
 
 
 @pytest.fixture
 def kernel_points(monkeypatch):
-    """Counts the grid points the samplers pass to the per-point kernels."""
+    """Counts the grid points evaluated by the per-point closed-form core."""
     seen = {"points": 0}
 
-    def counted(kernel):
-        def wrapper(*args):
-            values = kernel(*args)
-            seen["points"] += values.size
-            return values
+    def counted(*args):
+        values = closed_values(*args)
+        seen["points"] += values.size
+        return values
 
-        return wrapper
-
-    monkeypatch.setattr(surfaces, "bd_coherence_values", counted(bd_coherence_values))
-    monkeypatch.setattr(surfaces, "xz_coherence_values", counted(xz_coherence_values))
+    # skewcoh.coherence, the attribute, is the function the package re-exports
+    coherence = importlib.import_module("skewcoh.coherence")
+    closed_values = coherence._closed_values
+    monkeypatch.setattr(coherence, "_closed_values", counted)
     return seen
 
 
@@ -162,6 +167,21 @@ SPLIT_CASES = (
     ]
 )
 
+# (name, public kernel over (c1, c2, c3)) for every sampled family
+GRID_KERNELS = (
+    [(f"bd-{m}", lambda *c, m=m: bd_coherence_values(*c, m)) for m in BD_MEASURES]
+    + [
+        (f"xz-{m} r={r} s={s}", lambda *c, r=r, s=s, m=m: xz_coherence_values(r, s, *c, m))
+        for r, s in ((0.0, 0.0), (0.1, -0.2), (0.3, 0.3))
+        for m in ("a1", "sum")
+    ]
+    + [
+        (f"{kind} p={p}", lambda *c, kind=kind, p=p: bd_coherence_values(*predicted_coefficient_grid(kind, *c, p), "a1"))
+        for kind in CHANNEL_KINDS
+        for p in (0.0, 0.05, 0.6)
+    ]
+)
+
 
 class TestPairTables:
     """Fields whose term splits over the two margin pairs, on grids whose
@@ -176,6 +196,24 @@ class TestPairTables:
             assert kernel_points["points"] < resolution**3, f"{name} did not take the table route"
             expected = per_point(kernel, resolution)
             assert np.array_equal(values.view(np.int64), expected.view(np.int64)), name
+
+    @pytest.mark.parametrize("resolution", [2, 3, 41])
+    def test_ix_grid_equals_the_elementwise_kernel(self, resolution, monkeypatch):
+        # np.ix_ coordinates are filled by the grid evaluator, dense ones
+        # elementwise; a length-1 or empty axis is a grid too
+        coherence = importlib.import_module("skewcoh.coherence")
+        grid_values, grids = coherence._grid_values, []
+        monkeypatch.setattr(coherence, "_grid_values", lambda *a: grids.append(a) or grid_values(*a))
+        axis = np.linspace(-1.0, 1.0, resolution)
+        inputs = ((axis,) * 3, (axis[:1], axis[:1], axis), (axis, axis, axis[-1:]), (axis[:0], axis[:0], axis))
+        for name, kernel in GRID_KERNELS:
+            for x, y, z in inputs:
+                grids.clear()
+                grid = kernel(*np.ix_(x, y, z))
+                assert len(grids) == 1, name
+                elementwise = kernel(*np.meshgrid(x, y, z, indexing="ij"))
+                assert len(grids) == 1, name
+                assert np.array_equal(grid.view(np.int64), elementwise.view(np.int64)), name
 
     @pytest.mark.parametrize("resolution", [2, 41])
     @pytest.mark.parametrize("measure", ["a2", "a3"])
@@ -464,3 +502,4 @@ class TestMeshValidation:
         values = np.full((resolution,) * 3, np.nan)
         field = ScalarField3D(axis=np.linspace(-1, 1, resolution), values=values, name="empty")
         assert field.axis.size == resolution
+        assert np.isnan(field.maximum)

@@ -10,6 +10,7 @@ slab-by-slab extraction replaced, and the per-row ``%`` writers that the
 array writers replaced.
 """
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -317,7 +318,38 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def figure_pins() -> dict:
+    """The figure workload's entry of ``MUST_EQUAL`` in ``benchmark/workloads.py``,
+    parsed, not imported: the structural counts a traced figure run must read."""
+    for node in ast.parse((ROOT / "benchmark" / "workloads.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "MUST_EQUAL" for t in node.targets):
+            return next(ast.literal_eval(v) for k, v in zip(node.value.keys, node.value.values) if k.value == "figure")
+    raise LookupError("workloads.py assigns no MUST_EQUAL")
+
+
+def spy(monkeypatch, module, name, record):
+    """Replace ``module.name`` by a wrapper that passes each call and its result to ``record``."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        record(name, args, kwargs, result)
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_figure_files_match_recorded_hashes(tmp_path, monkeypatch, capsys):
+    # The script's structure is pinned by the benchmark: count what its
+    # traced run counts, through the names the tracer wraps.
+    mains, samples, writes, points = [], set(), [], []
+    spy(monkeypatch, cli, "main", lambda *call: mains.append(call))
+    for name in ("sample_bd_field", "sample_xz_field", "sample_channel_field"):
+        spy(monkeypatch, surfaces, name, lambda name, args, kwargs, _: samples.add((name, args, tuple(kwargs.items()))))
+    for name in ("write_obj", "write_ply", "write_field_csv", "write_curve_csv"):
+        spy(monkeypatch, surfaces, name, lambda *call: writes.append(call))
+    for name in ("bd_coherence_values", "xz_coherence_values"):
+        spy(monkeypatch, surfaces, name, lambda *call: points.append(np.size(call[-1])))
     spec = importlib.util.spec_from_file_location("make_figure_data", ROOT / "scripts" / "make_figure_data.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -326,6 +358,12 @@ def test_figure_files_match_recorded_hashes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     written = {p.relative_to(tmp_path).as_posix(): sha256(p) for p in tmp_path.rglob("*") if p.is_file()}
     assert written == FIGURE_HASHES
+    pins = figure_pins()
+    assert len(mains) == pins["cli.main.calls"]
+    assert len(samples) == pins["surfaces.sample.distinct"]
+    assert len(writes) == pins["surfaces.write.files"]
+    # every sampled point goes through the public field kernels
+    assert sum(points) == pins["surfaces.sample.distinct"] * 41**3 > 0
 
 
 def test_ply_and_field_csv_match_recorded_hashes(tmp_path, capsys):
