@@ -24,6 +24,8 @@ from . import surfaces as sf
 from .bases import amub_basis
 from .channels import CHANNEL_KINDS, dynamics_curve
 from .coherence import (
+    BD_MEASURES,
+    XZ_MEASURES,
     bd_coherence,
     coherence,
     isotropic_coherence,
@@ -55,15 +57,22 @@ OUTPUT_DIR_ENV = "SKEWCOH_OUT"
 # states and takes about 0.3 s in-process on one core, writing included.
 MAX_POINTS = 10_001
 
-# The per-state flags each coherence family takes.  Each is required there,
-# and any other one given is an error, not ignored.
-_STATE_FLAGS = {"bell": ("c",), "werner": ("p",), "isotropic": ("F",), "xz": ("r", "s", "c")}
+# Each `coherence --family` name: the per-state flags it takes (see _check_flags)
+# and its builder of the state and its closed form, None where it has none.
+FAMILIES = {
+    "bell": (("c",), lambda a: (bell_diagonal(prm := BellDiagonalParams(*a.c)), bd_coherence(prm, a.basis))),
+    "werner": (("p",), lambda a: (werner(a.p), werner_coherence(a.p))),
+    "isotropic": (("F",), lambda a: (isotropic(a.F), isotropic_coherence(a.F))),
+    "xz": (
+        ("r", "s", "c"),
+        lambda a: (x_state_z(prm := XStateZParams(a.r, a.s, *a.c)), xz_coherence_a1(prm) if a.basis == "a1" else None),
+    ),
+}
 
-# Each `surface --field` name: the per-state flags it takes, by the rule of
-# _STATE_FLAGS, and its sampler of the parsed arguments.
+# Each `surface --field` name: the per-state flags it takes and its sampler.
 FIELDS = {
-    **{f"bd-{m}": ((), lambda a, m=m: sf.sample_bd_field(m, a.resolution)) for m in sf.BD_MEASURES},
-    **{f"xz-{m}": (("r", "s"), lambda a, m=m: sf.sample_xz_field(a.r, a.s, m, a.resolution)) for m in ("a1", "sum")},
+    **{f"bd-{m}": ((), lambda a, m=m: sf.sample_bd_field(m, a.resolution)) for m in BD_MEASURES},
+    **{f"xz-{m}": (("r", "s"), lambda a, m=m: sf.sample_xz_field(a.r, a.s, m, a.resolution)) for m in XZ_MEASURES},
     **{f"channel:{k}": (("p",), lambda a, k=k: sf.sample_channel_field(k, a.p, a.resolution)) for k in CHANNEL_KINDS},
 }
 
@@ -132,25 +141,14 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         xs = _unit_grid(args.grid, "--grid")
         parameter, closed = ("p", werner_coherence) if args.family == "werner" else ("F", isotropic_coherence)
         curve = sf.Curve1D(parameter=parameter, xs=xs, values=closed(xs))
-        out = _out_dir(args) / f"curve_{args.family}.csv"
-        sf.write_curve_csv(curve, out)
-        print(out)
+        print(sf.write_curve_csv(curve, _out_dir(args) / f"curve_{args.family}.csv"))
         return EXIT_OK
 
-    _check_flags(args, _STATE_FLAGS[args.family], f"the {args.family} family")
+    takes, build = FAMILIES[args.family]
+    _check_flags(args, takes, f"the {args.family} family")
     if args.out is not None:
         raise ValueError("--out applies only to --grid")
-    if args.family == "bell":
-        params = BellDiagonalParams(*args.c)
-        rho, closed = bell_diagonal(params), bd_coherence(params, args.basis)
-    elif args.family == "werner":
-        rho, closed = werner(args.p), werner_coherence(args.p)
-    elif args.family == "isotropic":
-        rho, closed = isotropic(args.F), isotropic_coherence(args.F)
-    else:
-        params = XStateZParams(args.r, args.s, *args.c)
-        rho = x_state_z(params)
-        closed = xz_coherence_a1(params) if args.basis == "a1" else None
+    rho, closed = build(args)
     numeric = coherence(rho, basis)
     rows = [("numeric", numeric)] + ([] if closed is None else [("closed-form", closed)])
     if args.family == "xz" and args.basis == "a1":
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("coherence", allow_abbrev=False, help="evaluate the coherence of one state")
-    pc.add_argument("--family", choices=("bell", "werner", "isotropic", "xz"), required=True)
+    pc.add_argument("--family", choices=tuple(FAMILIES), required=True)
     pc.add_argument("--c", type=_parse_triple, help="correlation coefficients c1,c2,c3")
     pc.add_argument("--p", type=_float, help="werner parameter")
     pc.add_argument("--F", type=_float, help="isotropic fidelity")

@@ -12,15 +12,16 @@ cross-check.
 
 Closed forms are provided for the Bell-diagonal family (in each of the
 three tensor-squared reference bases and their sum), its Werner and
-isotropic slices, and the z-polarized X states.  Both families share one
-array core that roots their four margins under ``sqrt_psd``'s noise rule
-and marks points outside the physical region as NaN; the grid entry
-points call it on arrays, and the scalar entry points make a 0-d call of
-it on validated parameters.  Coordinates in ``np.ix_`` form are a grid,
-the array entry points' third case: ``_grid_values`` fills it, evaluating
-a term that splits over the two margin pairs once per distinct pair
-value, with the core's bits.  The closed forms are certified against the
-numeric definition at every point of whole grids, not trusted.
+isotropic slices, and the z-polarized X states.  Each family is declared
+once, by ``_bd_field`` or ``_xz_field``: its margins function and term.
+One array core, ``_closed_values``, roots the four margins under
+``sqrt_psd``'s noise rule and marks points outside the physical region as
+NaN; the grid entry points call it on arrays, and the scalar entry points
+make a 0-d call of it on validated parameters.  Coordinates in ``np.ix_``
+form are a grid: ``_grid_values`` fills it, evaluating a term that splits
+over the two margin pairs once per distinct pair value, with the core's
+bits.  The closed forms are certified against the numeric definition at
+every point of whole grids, not trusted.
 """
 
 from __future__ import annotations
@@ -161,16 +162,18 @@ _BD_TERMS = {
     "a3": lambda q: 0.25 * (2.0 - q[0] * q[2] - q[1] * q[3]),
     "sum": _SUM,
 }
+BD_MEASURES = tuple(_BD_TERMS)
+XZ_MEASURES = ("a1", "sum")
 
 
-def _closed_values(m, term):
-    """The closed-form core over the four margins ``m``, elementwise:
-    ``term(roots)``, clamped at 0; NaN where a margin is below -TETRA_TOL.
-    A margin at or below ``sqrt_psd``'s noise bound counts as 0, as its
-    eigenvalue does on the numeric route: on a face, sqrt would turn a
-    2e-16 margin into a 1.5e-8 root."""
+def _closed_values(margins, term, c1, c2, c3):
+    """The closed-form core over the four margins ``margins(c1, c2, c3)``,
+    elementwise: ``term(roots)``, clamped at 0; NaN where a margin is below
+    -TETRA_TOL.  A margin at or below ``sqrt_psd``'s noise bound counts as
+    0, as its eigenvalue does on the numeric route: on a face, sqrt would
+    turn a 2e-16 margin into a 1.5e-8 root."""
+    m = np.array(margins(c1, c2, c3))  # one (4, ...) stack, rooted in place
     physical = (m[0] >= -TETRA_TOL) & (m[1] >= -TETRA_TOL) & (m[2] >= -TETRA_TOL) & (m[3] >= -TETRA_TOL)
-    m = np.array(m)  # one (4, ...) stack, rooted in place
     np.copyto(m, 0.0, where=m <= _noise_bound(m.max(axis=0), 4))
     values = term(np.sqrt(m, out=m))
     return np.where(physical, np.maximum(values, 0.0), np.nan)
@@ -182,16 +185,17 @@ def _field_values(margins, term, c1, c2, c3):
     c1, c2, c3 = (np.asarray(c, dtype=float) for c in (c1, c2, c3))
     if (c1.shape, c2.shape, c3.shape) == ((c1.size, 1, 1), (1, c2.size, 1), (1, 1, c3.size)):
         return _grid_values(margins, term, c1.ravel(), c2.ravel(), c3.ravel())
-    return _closed_values(margins(c1, c2, c3), term)
+    return _closed_values(margins, term, c1, c2, c3)
 
 
 _SLAB_ROWS = 8  # c1 rows per core call or table gather in _grid_values
 
 
 def _grid_values(margins, term, x, y, z) -> np.ndarray:
-    """``term`` over ``margins`` on the grid x (c1) by y (c2) by z (c3),
-    filled a slab of c1 rows at a time: no full-grid temporaries whose
-    placement by the allocator would decide the peak memory.
+    """``term`` over ``margins``, a family's pair from ``_bd_field`` or
+    ``_xz_field``, on the grid x (c1) by y (c2) by z (c3), a slab of c1 rows
+    at a time, so that no full-grid temporary's placement by the allocator
+    decides the peak memory.
 
     Where the term is a _SplitTerm and x and y are the same axis, each
     pair's part is tabulated once per distinct (c1 + c2, c3) for pair A and
@@ -205,7 +209,7 @@ def _grid_values(margins, term, x, y, z) -> np.ndarray:
     if not (isinstance(term, _SplitTerm) and np.array_equal(x.view(np.int64), y.view(np.int64))):
         # Sparse (rows,1,1), (n,1), (n,) coordinates: no full coordinate grid.
         for i in range(0, len(x), _SLAB_ROWS):
-            values[i : i + _SLAB_ROWS] = _closed_values(margins(x[i : i + _SLAB_ROWS, None, None], y[:, None], z), term)
+            values[i : i + _SLAB_ROWS] = _closed_values(margins, term, x[i : i + _SLAB_ROWS, None, None], y[:, None], z)
         return values
     tables = []
     for outer, pair in ((np.add.outer, slice(0, 2)), (np.subtract.outer, slice(2, 4))):
@@ -231,7 +235,7 @@ def _grid_values(margins, term, x, y, z) -> np.ndarray:
     point, k = np.nonzero(ambiguous_a[index_a[i, j]] | ambiguous_b[index_b[i, j]])
     if len(point):
         i, j = i[point], j[point]
-        values[i, j, k] = _closed_values(margins(x[i], y[j], z[k]), term)
+        values[i, j, k] = _closed_values(margins, term, x[i], y[j], z[k])
     return values
 
 
@@ -261,15 +265,8 @@ def _bd_field(label: str):
     """The margins function and term of the Bell-diagonal closed form in
     basis ``label``, or summed over the three bases ('sum')."""
     if label not in _BD_TERMS:
-        raise ValueError(f"unknown basis label {label!r}; expected one of {tuple(_BD_TERMS)}")
+        raise ValueError(f"unknown basis label {label!r}; expected one of {BD_MEASURES}")
     return tetrahedron_margins, _BD_TERMS[label]
-
-
-def _bd_values(c1, c2, c3, label: str):
-    """The Bell-diagonal kernel: coherence in basis ``label``, or summed over
-    the three bases ('sum'), elementwise; NaN outside the tetrahedron."""
-    margins, term = _bd_field(label)
-    return _closed_values(margins(c1, c2, c3), term)
 
 
 def bd_coherence_values(c1, c2, c3, label: str):
@@ -290,12 +287,12 @@ def bd_coherence(params: BellDiagonalParams, label: str) -> float:
     """Closed-form coherence of a Bell-diagonal state in basis a1, a2 or a3."""
     if label not in AMUB_LABELS:
         raise ValueError(f"unknown basis label {label!r}; expected one of {AMUB_LABELS}")
-    return float(_bd_values(*params.triple, label))
+    return float(_closed_values(*_bd_field(label), *params.triple))
 
 
 def bd_coherence_sum(params: BellDiagonalParams) -> float:
     """Coherence summed over the three reference bases."""
-    return float(_bd_values(*params.triple, "sum"))
+    return float(_closed_values(*_bd_field("sum"), *params.triple))
 
 
 def werner_coherence(p):
@@ -324,12 +321,6 @@ def isotropic_coherence(fidelity):
 # whenever the block is nonzero, so vanishing gaps need no special casing.
 
 
-def _xz_values(r, s, c1, c2, c3, measure: str):
-    """The X-state kernel: coherence in a1 or summed ('sum'), elementwise;
-    NaN where a block margin is below -TETRA_TOL."""
-    return _closed_values(_xz_margins(r, s, c1, c2, c3), _xz_term(r, s, measure))
-
-
 def _block_diagonal(qa, qb, gap):
     """The squared diagonal entries (u + w)^2 and (u - w)^2 of the root of
     one block, from its two roots and its off-diagonal ``gap``."""
@@ -347,29 +338,33 @@ def _xz_a1_combine(a, y1, y2):
     return a
 
 
-def _xz_term(r, s, measure: str):
-    """The X-state term: the sum, or a1 as 1 minus the four squared diagonal
-    entries of sqrt(rho), block {|01>, |10>} (pair A) first."""
+def _xz_field(r, s, measure: str):
+    """The margins function and term of the X-state closed form at (r, s),
+    which broadcast with the coordinates: the sum, or a1 as 1 minus the four
+    squared diagonal entries of sqrt(rho), block {|01>, |10>} (pair A) first."""
+    if measure not in XZ_MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {XZ_MEASURES}")
+    margins = functools.partial(_xz_margins, r, s)
     if measure == "sum":
-        return _SUM
+        return margins, _SUM
 
     def pair_a(q0, q1):
         x1, x2 = _block_diagonal(q0, q1, r - s)
         return (1.0 - x1) - x2
 
-    return _SplitTerm(pair_a, lambda q2, q3: _block_diagonal(q2, q3, r + s), _xz_a1_combine)
+    return margins, _SplitTerm(pair_a, lambda q2, q3: _block_diagonal(q2, q3, r + s), _xz_a1_combine)
 
 
 def xz_coherence_a1(params: XStateZParams) -> float:
     """Closed-form coherence of a z-polarized X state in the computational
     product basis a1."""
-    return float(_xz_values(params.r, params.s, params.c1, params.c2, params.c3, "a1"))
+    return float(_closed_values(*_xz_field(params.r, params.s, "a1"), params.c1, params.c2, params.c3))
 
 
 def xz_coherence_sum(params: XStateZParams) -> float:
     """Coherence of a z-polarized X state summed over the three reference
     bases: 2 - tr(sqrt(rho))^2 / 2."""
-    return float(_xz_values(params.r, params.s, params.c1, params.c2, params.c3, "sum"))
+    return float(_closed_values(*_xz_field(params.r, params.s, "sum"), params.c1, params.c2, params.c3))
 
 
 def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
@@ -380,11 +375,9 @@ def xz_coherence_values(r: float, s: float, c1, c2, c3, measure: str):
     form (a sparse ij ``np.meshgrid`` too).  Unphysical points (block
     margins below -1e-12) evaluate to NaN.
     """
-    if measure not in ("a1", "sum"):
-        raise ValueError(f"unknown measure {measure!r}; expected 'a1' or 'sum'")
-    if not (np.isfinite(r) and np.isfinite(s)):
-        raise ValueError(f"r and s must be finite, got r={r} s={s}")
-    return _field_values(functools.partial(_xz_margins, r, s), _xz_term(r, s, measure), c1, c2, c3)
+    if np.ndim(r) or np.ndim(s) or not (np.isfinite(r) and np.isfinite(s)):
+        raise ValueError(f"r and s must be finite scalars, got r={r} s={s}")
+    return _field_values(*_xz_field(r, s, measure), c1, c2, c3)
 
 
 # -- closed-form candidates kept for auditing ----------------------------------

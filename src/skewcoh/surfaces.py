@@ -19,9 +19,8 @@ import numpy as np
 
 from ._mc_tables import EDGE_AXIS, EDGE_OFFSET, TRI_COUNT, TRI_TABLE
 from .channels import predicted_coefficient_grid
-from .coherence import bd_coherence_values, xz_coherence_values
+from .coherence import BD_MEASURES, bd_coherence_values, xz_coherence_values
 
-BD_MEASURES = ("a1", "a2", "a3", "sum")
 # Single-basis fields are capped at 1/2, summed fields at 3/2.
 FIELD_CAP = 1.5 + 1e-9
 # A field holds 8 B per grid point.  Extraction holds one slab's masks and
@@ -153,8 +152,6 @@ def sample_bd_field(measure: str = "a1", resolution: int = 101) -> ScalarField3D
     ``measure`` picks a single reference basis ('a1' | 'a2' | 'a3') or the
     three-basis sum ('sum').
     """
-    if measure not in BD_MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {BD_MEASURES}")
     axis, c = _grid(resolution)
     return ScalarField3D(axis=axis, values=bd_coherence_values(*c, measure), name=f"bd-{measure}")
 

@@ -18,7 +18,9 @@ from . import channels as ch
 from . import surfaces as sf
 from .bases import AMUB_LABELS, amub_basis, amub_from_mubs, qubit_mubs, represent_in_basis, verify_mub
 from .coherence import (
-    _xz_values,
+    XZ_MEASURES,
+    _closed_values,
+    _xz_field,
     bd_coherence_values,
     coherence,
     coherence_bound,
@@ -268,9 +270,9 @@ def _grid_gaps(resolution: int, rs: tuple[float, float] | None = None) -> dict[s
     params = params[np.min(_xz_margins(*params.T), axis=0) >= -TETRA_TOL]
     numeric = _numeric(_xz_matrix, params)
     numeric = dict(zip(AMUB_LABELS, numeric), sum=numeric[0] + numeric[1] + numeric[2])
-    gaps = {}
-    for lab in numeric if rs is None else ("a1", "sum"):
-        closed = bd_coherence_values(*params[:, 2:].T, lab) if rs is None else _xz_values(*params.T, lab)
+    gaps, c = {}, params[:, 2:].T
+    for lab in numeric if rs is None else XZ_MEASURES:
+        closed = bd_coherence_values(*c, lab) if rs is None else _closed_values(*_xz_field(*rs, lab), *c)
         gap = np.abs(closed - numeric[lab])
         k = int(np.argmax(gap))
         gaps[lab] = (float(gap[k]), "c=({:.6f},{:.6f},{:.6f})".format(*params[k, 2:]))
@@ -328,9 +330,9 @@ def suite_xz(rng: np.random.Generator, samples: int | None = None) -> SuiteResul
     params = random_xz_params(rng, n)
     numeric = _numeric(_xz_matrix, params)
     numeric_sum = numeric[0] + numeric[1] + numeric[2]
-    closed_dev = _worst(_xz_values(*params.T, "a1") - numeric[0])
-    res.dev(f"block closed form vs numeric over {n} states", closed_dev, 1e-9)
-    res.dev("trace identity for the basis sum vs numeric", _worst(_xz_values(*params.T, "sum") - numeric_sum), 1e-9)
+    closed = [_closed_values(*_xz_field(*params[:, :2].T, m), *params[:, 2:].T) for m in XZ_MEASURES]
+    res.dev(f"block closed form vs numeric over {n} states", _worst(closed[0] - numeric[0]), 1e-9)
+    res.dev("trace identity for the basis sum vs numeric", _worst(closed[1] - numeric_sum), 1e-9)
 
     # The audited candidates are evaluated over all draws at once and
     # reported draw by draw, a1 before sum.
@@ -347,7 +349,7 @@ def suite_xz(rng: np.random.Generator, samples: int | None = None) -> SuiteResul
     audit_count = np.count_nonzero(flagged)
 
     c1, c2, c3 = random_bell_params(rng, max(n // 2, 100)).T
-    reduction = _xz_values(0.0, 0.0, c1, c2, c3, "a1") - bd_coherence_values(c1, c2, c3, "a1")
+    reduction = _closed_values(*_xz_field(0.0, 0.0, "a1"), c1, c2, c3) - bd_coherence_values(c1, c2, c3, "a1")
     res.dev("r=s=0 reduction equals Bell-diagonal closed form", _worst(reduction), 1e-10)
 
     # the {|01>, |10>} block gap vanishes here: a removable singularity of

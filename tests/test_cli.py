@@ -438,6 +438,26 @@ def test_each_field_takes_exactly_its_flags(capsys, tmp_path, name):
         assert f"--{flag} {'is required for' if flag in takes else 'does not apply to'} field {name}" in err
 
 
+COHERENCE_FLAG_VALUES = {"c": "0.1,0.1,0.1", "p": "0.5", "F": "0.5", "r": "0.1", "s": "0.1"}
+
+
+@pytest.mark.parametrize("name", list(cli.FAMILIES))
+def test_each_family_takes_exactly_its_flags(capsys, name):
+    takes, _ = cli.FAMILIES[name]
+    base = ("coherence", "--family", name)
+    given = {flag: COHERENCE_FLAG_VALUES[flag] for flag in takes}
+    code, out, err = run(capsys, *base, *(f"--{flag}={value}" for flag, value in given.items()))
+    assert code == 0, err
+    assert out.startswith(f"family={name} basis=a1 ") and "numeric" in out
+    for flag, value in COHERENCE_FLAG_VALUES.items():
+        # one flag added where it is not taken, or dropped where it is
+        argv = {**given, flag: value} if flag not in takes else {f: v for f, v in given.items() if f != flag}
+        code, out, err = run(capsys, *base, *(f"--{f}={v}" for f, v in argv.items()))
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert f"--{flag} {'is required for' if flag in takes else 'does not apply to'} the {name} family" in err
+
+
 def test_another_command_releases_the_stored_field(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_last_field", {})
     args = ("--level", "0.05", "--resolution", "11", "--out", str(tmp_path))

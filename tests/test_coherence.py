@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from skewcoh.bases import AMUB_LABELS, OrthonormalBasis, amub_basis
 from skewcoh.channels import predicted_coefficients
 from skewcoh.coherence import (
-    _bd_values,
-    _xz_values,
+    BD_MEASURES,
+    XZ_MEASURES,
+    _bd_field,
+    _closed_values,
+    _xz_field,
     bd_coherence,
     bd_coherence_sum,
     bd_coherence_values,
@@ -319,8 +322,8 @@ class TestXStateClosedForms:
         # ``** 2`` on a scalar goes through pow, which missed the array's
         # exact square by one ulp in 47 of these draws for xz a1.
         r, s, c1, c2, c3 = np.random.default_rng(5).uniform(-0.3, 0.3, size=(5, 20_000))
-        routes = [(lambda *c, m=m: _xz_values(*c, m), (r, s, c1, c2, c3)) for m in ("a1", "sum")]
-        routes.append((lambda *c: _bd_values(*c, "sum"), (c1, c2, c3)))
+        routes = [(lambda r, s, *c, m=m: _closed_values(*_xz_field(r, s, m), *c), (r, s, c1, c2, c3)) for m in XZ_MEASURES]
+        routes += [(lambda *c, m=m: _closed_values(*_bd_field(m), *c), (c1, c2, c3)) for m in BD_MEASURES]
         for kernel, rows in routes:
             whole = kernel(*rows)
             scalars = np.array([kernel(*column) for column in zip(*(row.tolist() for row in rows))])
@@ -333,6 +336,14 @@ class TestXStateClosedForms:
             xz_coherence_values(r, s, 0.2, 0.1, 0.3, "a1")
         with pytest.raises(ValueError, match="must be finite"):
             sample_xz_field(r, s, "sum", 5)
+
+    @pytest.mark.parametrize("r, s", [(np.array([0.1, 0.2]), 0.0), (0.0, np.array([0.1])), ([0.1], [0.1])])
+    def test_non_scalar_r_s_rejected(self, r, s):
+        # A length-2 r once raised numpy's "truth value ... is ambiguous",
+        # and a length-1 r passed the check.
+        for measure in XZ_MEASURES:
+            with pytest.raises(ValueError, match="r and s must be finite scalars"):
+                xz_coherence_values(r, s, 0.2, 0.1, 0.3, measure)
 
     def test_audited_candidate_deviates_generically(self, amubs):
         # the retained candidate expression carries a sign defect; the suite

@@ -61,7 +61,7 @@ class TestFieldSampling:
         assert np.isnan(bd_a1.values[-1, -1, -1])
 
     def test_unknown_measure(self):
-        with pytest.raises(ValueError, match="unknown measure"):
+        with pytest.raises(ValueError, match="unknown basis label"):
             sample_bd_field("a4", RES)
 
     def test_resolution_validated(self):
