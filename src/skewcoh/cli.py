@@ -14,6 +14,7 @@ seed always produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import surfaces as sf
-from .bases import amub_basis
+from .bases import AMUB_LABELS, amub_basis
 from .channels import CHANNEL_KINDS, dynamics_curve
 from .coherence import (
     BD_MEASURES,
@@ -235,7 +236,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process and shared by every call, so no caller may
+    # change it; parsing leaves it as it was.
     # Without allow_abbrev, argparse takes a prefix such as --conf for
     # --config, which _expand_config never sees, so the file is ignored.
     parser = argparse.ArgumentParser(
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--F", type=_float, help="isotropic fidelity")
     pc.add_argument("--r", type=_float, help="first local z component")
     pc.add_argument("--s", type=_float, help="second local z component")
-    pc.add_argument("--basis", choices=("a1", "a2", "a3"), default="a1")
+    pc.add_argument("--basis", choices=AMUB_LABELS, default="a1")
     pc.add_argument("--grid", type=int, help="sample a parameter curve with this many points instead")
     pc.add_argument("--compare", action="store_true", help="also print l1 and relative-entropy values")
     pc.add_argument("--csv", help="write the printed values to this CSV file")
@@ -280,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="correlation coefficients c1,c2,c3 (write --c=-0.2,0.6,0.6 when the first is negative)",
     )
-    pd.add_argument("--basis", choices=("a1", "a2", "a3"), default="a1")
+    pd.add_argument("--basis", choices=AMUB_LABELS, default="a1")
     pd.add_argument("--points", type=int, default=101)
     pd.add_argument("--out", help="output directory (default $SKEWCOH_OUT or .)")
     pd.add_argument("--config", help="key=value file supplying default flags")

@@ -194,6 +194,8 @@ def extract_isosurface(field: ScalarField3D, level: float) -> IsoSurfaceMesh:
         raise ValueError(f"level must be finite and >= 0, got {level}")
     values = field.values
     axis = field.axis
+    if not field.maximum > level:  # then every corner is below it: no cell is crossed
+        return IsoSurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.intp), float(level), axis)
     n = axis.size
     plane = n * n
     strides = np.array([plane, n, 1])

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from skewcoh import cli
-from skewcoh.bases import amub_basis
+from skewcoh.bases import AMUB_LABELS, amub_basis
 from skewcoh.coherence import coherence
 from skewcoh.states import BellDiagonalParams, bell_diagonal
 from skewcoh.verify import ALL_SUITES, MAX_SAMPLES
@@ -456,6 +457,18 @@ def test_each_family_takes_exactly_its_flags(capsys, name):
         assert code == cli.EXIT_BAD_ARGS
         assert out == ""
         assert f"--{flag} {'is required for' if flag in takes else 'does not apply to'} the {name} family" in err
+
+
+def test_basis_choices_are_the_amub_labels():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for name in ("coherence", "dynamics"):
+        (basis,) = [a for a in commands[name]._actions if a.dest == "basis"]
+        assert tuple(basis.choices) == AMUB_LABELS
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_another_command_releases_the_stored_field(capsys, tmp_path, monkeypatch):

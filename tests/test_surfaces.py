@@ -302,6 +302,23 @@ class TestMarchingCubes:
     def test_above_maximum_is_empty(self, bd_a1):
         assert extract_isosurface(bd_a1, 0.6).is_empty
 
+    @pytest.mark.parametrize("case", ["above", "at", "all-nan"])
+    def test_empty_mesh_equals_the_slab_walk(self, bd_a1, case):
+        # At or above the maximum no slab is walked; the same values with the
+        # recorded maximum raised to inf walk every slab.
+        if case == "all-nan":
+            field, level = ScalarField3D(axis=bd_a1.axis, values=np.full(bd_a1.values.shape, np.nan)), 0.1
+        else:
+            field, level = bd_a1, 0.6 if case == "above" else bd_a1.maximum
+        walked = ScalarField3D(axis=field.axis, values=field.values)
+        object.__setattr__(walked, "maximum", np.inf)
+        got, want = extract_isosurface(field, level), extract_isosurface(walked, level)
+        for a, b in ((got.vertices, want.vertices), (got.triangles, want.triangles)):
+            assert a.shape == b.shape == (0, 3)
+            assert a.dtype == b.dtype
+        assert got.axis is field.axis and want.axis is field.axis
+        assert got.level == want.level == level
+
     def test_low_levels_nonempty(self, bd_a1):
         assert not extract_isosurface(bd_a1, 0.05).is_empty
         assert not extract_isosurface(bd_a1, 0.2).is_empty

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from skewcoh import cli, verify
-from skewcoh.states import _xz_margins, tetrahedron_margins
+from skewcoh.bases import amub_basis
+from skewcoh.coherence import coherence, coherence_bound, coherence_from_skew_information
+from skewcoh.states import DensityMatrix, _xz_margins, tetrahedron_margins
 from skewcoh.verify import (
     ALL_SUITES,
     DEFAULT_SEED,
@@ -17,6 +19,7 @@ from skewcoh.verify import (
     SuiteResult,
     format_report,
     random_bell_params,
+    random_density,
     random_hermitian,
     random_psd,
     random_xz_params,
@@ -173,6 +176,60 @@ def test_one_sample_draws_what_each_check_names(monkeypatch):
     assert run_suites(names=["linalg"], seed=3, samples=2)[0].checks[0].name.endswith("(dims 2, 4)")
 
 
+def reference_measure_properties(rng, samples=None):
+    """The per-state loop the stacked suite replaced: each state is drawn,
+    validated and checked on its own through the one-state API."""
+    n = samples or 200
+    res = SuiteResult("measure-properties")
+    worst_routes = worst_bound = worst_phase = 0.0
+    for k in range(n):
+        dim = 2 if k % 2 == 0 else 4
+        rho = random_density(rng, dim)
+        basis = amub_basis("a2") if dim == 4 and k % 3 == 0 else None
+        c_primary = coherence(rho, basis)
+        worst_routes = max(worst_routes, abs(c_primary - coherence_from_skew_information(rho, basis)))
+        worst_bound = max(worst_bound, c_primary - coherence_bound(dim))
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=dim))
+        rotated = DensityMatrix((rho.matrix * phases[:, None]) * phases.conj()[None, :])
+        worst_phase = max(worst_phase, abs(coherence(rotated) - coherence(rho)))
+    res.dev(f"projector-sum route vs diagonal route over {n} states", worst_routes, 1e-10)
+    res.dev("excess over the 1 - 1/d bound", worst_bound, 1e-12)
+    res.dev("diagonal-phase invariance", worst_phase, 1e-10)
+    diag = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    res.dev("diagonal state coherence", coherence(diag), 1e-10)
+    bump = np.zeros((4, 4), dtype=complex)
+    bump[0, 1] = bump[1, 0] = 1e-3
+    perturbed = coherence(DensityMatrix(diag.matrix + bump))
+    res.flag("perturbed diagonal state is detected as coherent", perturbed > 1e-10, f"{perturbed:.3e}", "> 1e-10")
+    return res
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 1234])
+@pytest.mark.parametrize("samples", [None, 1, 2, 3, 37])
+def test_stacked_measure_properties_equal_the_per_state_loop(seed, samples):
+    (got,) = run_suites(names=["measure-properties"], seed=seed, samples=samples)
+    want = reference_measure_properties(np.random.default_rng(seed), samples)
+    assert got.checks == want.checks
+
+
+def test_measure_properties_builds_the_same_states_at_any_sample_count(monkeypatch):
+    # Three stacks, their three phase-rotated stacks and the two single states.
+    built = []
+
+    def counted(matrix, real=DensityMatrix):
+        built.append(np.shape(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(verify, "DensityMatrix", counted)
+    counts = {}
+    for samples in (200, 1000):
+        built.clear()
+        (result,) = run_suites(names=["measure-properties"], samples=samples)
+        assert result.passed
+        counts[samples] = len(built)
+    assert counts == {200: 8, 1000: 8}
+
+
 def test_same_seed_same_report():
     r1 = format_report(run_suites(names=["closed-forms"], seed=99, samples=60))
     r2 = format_report(run_suites(names=["closed-forms"], seed=99, samples=60))
@@ -188,7 +245,9 @@ def test_same_seed_same_report():
 # checks: the reports differ from the earlier ones by those six added
 # lines only.  The one-sample digest was re-recorded when linalg came to
 # name the one dimension it draws there and bases to draw a state for its
-# two change-of-basis checks: three lines differ.
+# two change-of-basis checks: three lines differ.  The measure-properties
+# entry was recorded from the per-state suite before it was rewritten over
+# three stacks.
 REPORT_HASHES = json.loads(Path(__file__).with_name("verify_report_hashes.json").read_text())
 
 
